@@ -8,7 +8,9 @@
 #include "core/detector.h"
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
+#include "graph/connectivity.h"
 #include "graph/metrics.h"
+#include "graph/shortest_paths.h"
 #include "http/transaction_stream.h"
 #include "synth/dataset.h"
 #include "synth/pcap_export.h"
@@ -85,18 +87,46 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
-void BM_GraphMetricsBySize(benchmark::State& state) {
-  // Chain-plus-chords graph of n nodes, the worst realistic WCG shape.
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// Chain-plus-chords graph of n nodes, the worst realistic WCG shape.
+dm::graph::Digraph chain_plus_chords(std::size_t n) {
   dm::graph::Digraph g(n);
   for (dm::graph::NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   for (dm::graph::NodeId v = 0; v + 5 < n; v += 5) g.add_edge(v, v + 5);
+  return g;
+}
+
+void BM_GraphMetricsBySize(benchmark::State& state) {
+  const auto g = chain_plus_chords(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     const auto metrics = dm::graph::compute_metrics(g);
     benchmark::DoNotOptimize(&metrics);
   }
 }
-BENCHMARK(BM_GraphMetricsBySize)->Arg(8)->Arg(32)->Arg(128)->Arg(404);
+// 1000 nodes: the per-query cost of a 1k-host session, which no scope cap
+// bounds today.
+BENCHMARK(BM_GraphMetricsBySize)->Arg(8)->Arg(32)->Arg(128)->Arg(404)->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The parts of compute_metrics that grow fastest with order, one at a time.
+void BM_GraphConnectivityBySize(benchmark::State& state) {
+  const auto adj =
+      chain_plus_chords(static_cast<std::size_t>(state.range(0))).undirected_adjacency();
+  for (auto _ : state) {
+    dm::util::Rng rng(dm::graph::MetricsOptions{}.sample_seed);
+    benchmark::DoNotOptimize(dm::graph::average_node_connectivity(adj, rng));
+  }
+}
+BENCHMARK(BM_GraphConnectivityBySize)->Arg(404)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
+void BM_GraphPathSweepBySize(benchmark::State& state) {
+  const auto adj =
+      chain_plus_chords(static_cast<std::size_t>(state.range(0))).undirected_adjacency();
+  for (auto _ : state) {
+    const auto paths = dm::graph::path_metrics(adj, dm::graph::kPathAll);
+    benchmark::DoNotOptimize(&paths);
+  }
+}
+BENCHMARK(BM_GraphPathSweepBySize)->Arg(404)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 void BM_ErfPredict(benchmark::State& state) {
   static const dm::core::Detector detector = [] {

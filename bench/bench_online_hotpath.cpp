@@ -11,11 +11,15 @@
 // topology-version cache, skips provably-unchanged queries outright, and
 // scores through the flattened ERF.
 //
-// Before any timing, the correctness invariant is enforced: the incremental
-// alert set — sequential and sharded at 1/2/8 shards — must be IDENTICAL
-// (score bits included) to the sequential from-scratch reference.  The
-// process exits nonzero on divergence; a speedup for a wrong answer is
-// worthless.
+// Before any timing, the correctness invariant is enforced on the verdict
+// tap's score stream, (client, trace timestamp, score bits) per completed
+// query.  The incremental stream, sequential and sharded at 1/2/8 shards,
+// must be IDENTICAL.  Against the sequential from-scratch reference it must
+// be contained, and every extra from-scratch verdict must repeat a score
+// the client already had (the incremental path skips re-scoring an
+// unchanged scoped WCG).  An empty stream fails too: a fence over zero
+// verdicts proves nothing.  The process exits nonzero on divergence; a
+// speedup for a wrong answer is worthless.
 //
 // Acceptance targets (ISSUE 4): >= 3x transaction throughput AND >= 3x
 // lower p95 dm.detect.clue_to_verdict_ns for incremental vs from-scratch.
@@ -26,7 +30,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -222,12 +229,60 @@ std::vector<HttpTransaction> build_trace(const TraceShape& shape,
   return stream;
 }
 
-OnlineOptions mode_options(ScoringMode mode, dm::obs::MetricsRegistry* metrics) {
+/// One completed verdict: (client, trace timestamp, score bits).
+using ScoreKey = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+
+/// Verdict-tap sink; shard threads append under the lock.
+struct ScoreStream {
+  std::mutex mutex;
+  std::vector<ScoreKey> keys;
+
+  /// The recorded verdicts in a canonical (sorted) order.
+  std::vector<ScoreKey> sorted() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto out = keys;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+OnlineOptions mode_options(ScoringMode mode, dm::obs::MetricsRegistry* metrics,
+                           ScoreStream* scores = nullptr) {
   OnlineOptions options;
   options.redirect_chain_threshold = 2;
   options.scoring = mode;
   options.metrics = metrics;
+  if (scores != nullptr) {
+    options.verdict_tap = [scores](const dm::core::Wcg& wcg, double score,
+                                   bool, std::uint64_t ts) {
+      std::uint64_t score_bits;
+      static_assert(sizeof(score_bits) == sizeof(score));
+      std::memcpy(&score_bits, &score, sizeof(score_bits));
+      ScoreKey key{wcg.node(wcg.victim()).host, ts, score_bits};
+      const std::lock_guard<std::mutex> lock(scores->mutex);
+      scores->keys.push_back(std::move(key));
+    };
+  }
   return options;
+}
+
+/// Whether the from-scratch stream is the incremental one plus re-scores of
+/// unchanged WCGs: every incremental verdict appears in it, and each extra
+/// verdict repeats a score its client already received.  Both sorted.
+bool scratch_extends(const std::vector<ScoreKey>& scratch,
+                     const std::vector<ScoreKey>& incremental) {
+  std::map<std::string, std::set<std::uint64_t>> seen;  // client -> scores
+  std::size_t j = 0;
+  for (const auto& key : scratch) {
+    const auto& [client, ts, bits] = key;
+    if (j < incremental.size() && incremental[j] == key) {
+      seen[client].insert(bits);
+      ++j;
+    } else if (seen[client].count(bits) == 0) {
+      return false;
+    }
+  }
+  return j == incremental.size();
 }
 
 /// One incremental-mode pass with causal tracing at `sample_period`
@@ -288,6 +343,7 @@ struct ModeResult {
   std::uint64_t c2v_count = 0;
   dm::core::OnlineStats stats;
   std::vector<Alert> alerts;
+  std::vector<ScoreKey> scores;  // sorted
 };
 
 ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
@@ -295,8 +351,9 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
   // Private registry per run: each mode's clue-to-verdict histogram is
   // isolated, so the A/B never mixes samples.
   dm::obs::MetricsRegistry metrics;
+  ScoreStream scores;
   dm::core::OnlineDetector detector(trained_detector(),
-                                    mode_options(mode, &metrics));
+                                    mode_options(mode, &metrics, &scores));
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& txn : trace) detector.observe(txn);
   const auto t1 = std::chrono::steady_clock::now();
@@ -309,6 +366,7 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
       static_cast<double>(trace.size()) / (result.elapsed_ms / 1e3);
   result.stats = detector.stats();
   result.alerts = detector.alerts();
+  result.scores = scores.sorted();
   const auto snap = metrics.snapshot();
   if (const auto* h = snap.histogram("dm.detect.clue_to_verdict_ns")) {
     result.c2v_p50_ns = h->p50();
@@ -318,35 +376,19 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
   return result;
 }
 
-using AlertKey = std::tuple<std::uint64_t, std::string, std::string,
-                            std::uint64_t, std::string, std::size_t,
-                            std::size_t>;
-
-std::vector<AlertKey> sorted_keys(const std::vector<Alert>& alerts) {
-  std::vector<AlertKey> keys;
-  keys.reserve(alerts.size());
-  for (const auto& a : alerts) {
-    std::uint64_t score_bits;
-    static_assert(sizeof(score_bits) == sizeof(a.score));
-    std::memcpy(&score_bits, &a.score, sizeof(score_bits));
-    keys.emplace_back(a.ts_micros, a.session_key, a.client, score_bits,
-                      a.trigger_host, a.wcg_order, a.wcg_size);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<Alert> run_sharded(std::size_t shards,
-                               const std::vector<HttpTransaction>& trace) {
+/// The sorted score stream of an incremental run over `shards` shards.
+std::vector<ScoreKey> run_sharded(std::size_t shards,
+                                  const std::vector<HttpTransaction>& trace) {
+  ScoreStream scores;
   dm::runtime::ShardedOptions options;
   options.num_shards = shards;
   options.batch_size = 64;
   options.queue_capacity = 128;
-  options.online = mode_options(ScoringMode::kIncremental, nullptr);
+  options.online = mode_options(ScoringMode::kIncremental, nullptr, &scores);
   dm::runtime::ShardedOnlineEngine engine(trained_detector(), options);
   for (const auto& txn : trace) engine.observe(txn);
   engine.finish();
-  return engine.merged_alerts();
+  return scores.sorted();
 }
 
 void print_mode(const ModeResult& r) {
@@ -386,26 +428,31 @@ int main(int argc, char** argv) {
   print_mode(scratch);
   print_mode(incremental);
 
-  // --- correctness fence: identical alert sets, score bits included -------
-  const auto reference = sorted_keys(scratch.alerts);
-  if (sorted_keys(incremental.alerts) != reference) {
-    std::fprintf(stderr, "FATAL: incremental alert set diverged from "
-                         "from-scratch (%zu vs %zu alerts)\n",
-                 incremental.alerts.size(), scratch.alerts.size());
+  // --- correctness fence: score streams, bit for bit ----------------------
+  const auto& reference = incremental.scores;
+  if (reference.empty()) {
+    std::fprintf(stderr, "FATAL: no verdicts; the score-stream fence would "
+                         "compare empty streams\n");
+    return 1;
+  }
+  if (!scratch_extends(scratch.scores, reference)) {
+    std::fprintf(stderr, "FATAL: incremental score stream diverged from "
+                         "from-scratch (%zu vs %zu verdicts)\n",
+                 reference.size(), scratch.scores.size());
     return 1;
   }
   for (const std::size_t shards : {1, 2, 8}) {
-    if (sorted_keys(run_sharded(shards, trace)) != reference) {
+    if (run_sharded(shards, trace) != reference) {
       std::fprintf(stderr,
-                   "FATAL: %zu-shard incremental alert set diverged from the "
-                   "sequential from-scratch reference\n",
+                   "FATAL: %zu-shard incremental score stream diverged from "
+                   "the sequential one\n",
                    shards);
       return 1;
     }
   }
-  std::printf("\nalert sets identical across modes and 1/2/8 shards "
-              "(%zu alerts)\n",
-              reference.size());
+  std::printf("\nscore streams identical across 1/2/8 shards and consistent "
+              "with from-scratch (%zu verdicts, %zu from-scratch, %zu alerts)\n",
+              reference.size(), scratch.scores.size(), incremental.alerts.size());
 
   const double throughput_ratio = incremental.txn_per_s / scratch.txn_per_s;
   const double p95_ratio = scratch.c2v_p95_ns /
@@ -434,7 +481,8 @@ int main(int argc, char** argv) {
     record.set("bench", "bench_online_hotpath");
     record.set("transactions", static_cast<std::uint64_t>(trace.size()));
     record.set("long_sessions", static_cast<std::uint64_t>(shape.clients));
-    record.set("alerts", static_cast<std::uint64_t>(reference.size()));
+    record.set("alerts", static_cast<std::uint64_t>(incremental.alerts.size()));
+    record.set("verdicts", static_cast<std::uint64_t>(reference.size()));
     record.set("fromscratch_ms", scratch.elapsed_ms);
     record.set("fromscratch_txn_per_s", scratch.txn_per_s);
     record.set("fromscratch_queries",

@@ -36,9 +36,11 @@ fi
 # asan watches the fuzz fences, fault injection, and the store's recovery
 # path; perf adds the budgeted session-lifecycle fences (timing wheel, LRU
 # eviction, sharded determinism); synth adds the trace-family determinism
-# and adversarial detection-path fences.  Both sanitizers run the same label
-# union so nothing labelled escapes either.
-LABELS="obs|fault|train|serve|perf|synth"
+# and adversarial detection-path fences; graph adds the graph-metric suite
+# and its differential fences (flat CSR flow networks, path-sweep index
+# arithmetic).  Both sanitizers run the same label union so nothing
+# labelled escapes either.
+LABELS="obs|fault|train|serve|perf|synth|graph"
 
 run cmake -B build-tsan -S . -DDM_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"

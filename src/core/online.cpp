@@ -250,22 +250,15 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
   session.last_activity = std::max(session.last_activity, now);
 
   // --- Redirect-run tracking for clue inference --------------------------
-  bool is_redirect_hop = false;
-  PayloadType payload = PayloadType::kNone;
-  if (txn.response) {
-    payload = dm::http::classify_payload(
-        txn.response->content_type().value_or(""), txn.request.uri);
-    if (txn.response->is_redirect()) {
-      is_redirect_hop = true;
-    } else {
-      const auto mined = dm::http::mine_redirects(txn, options_.builder.miner);
-      is_redirect_hop = !mined.empty();
-    }
-  }
+  // The payload class and mined redirect targets are derived once here and
+  // stored with the transaction in the session builder, whose folds (and
+  // the scoped builder's, which copies them) never derive them again.
+  FoldInputs inputs = derive_fold_inputs(txn, options_.builder.miner);
+  const PayloadType payload = inputs.payload;
+  const bool is_redirect_hop =
+      txn.response &&
+      (txn.response->is_redirect() || !inputs.redirect_hosts.empty());
 
-  if (session.builder.add(txn)) {
-    pin_bytes(session, approx_txn_bytes(txn));
-  }
   if (!session.clue_fired) session.hosts_before_clue.insert(txn.server_host);
 
   std::optional<Alert> alert;
@@ -279,12 +272,8 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
         std::max(session.longest_redirect_run, session.current_redirect_run);
     // Chain members and their targets are implicated hosts.
     session.suspicious_hosts.insert(txn.server_host);
-    if (txn.response) {
-      for (const auto& evidence :
-           dm::http::mine_redirects(txn, options_.builder.miner)) {
-        session.suspicious_hosts.insert(evidence.target_host);
-      }
-    }
+    session.suspicious_hosts.insert(inputs.redirect_hosts.begin(),
+                                    inputs.redirect_hosts.end());
   } else {
     // Clue check happens on the first non-redirect after a chain.
     if (risky_download &&
@@ -318,6 +307,9 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
     }
   }
 
+  if (session.builder.add(txn, std::move(inputs))) {
+    pin_bytes(session, approx_txn_bytes(txn));
+  }
   // Keep the scoped (clue-related) builder in lockstep with the stream so
   // the first post-clue verdict only folds a delta, never the whole
   // session history.
@@ -425,9 +417,11 @@ void OnlineDetector::maintain_scope(Session& session) {
     session.scope_eval_valid = false;
     ++stats_.scope_rescans;
   }
+  const auto& inputs = session.builder.fold_inputs();
   for (; session.scope_consumed < txns.size(); ++session.scope_consumed) {
     const auto& txn = txns[session.scope_consumed];
-    if (clue_related(txn, session.suspicious_hosts) && session.scoped.add(txn)) {
+    if (clue_related(txn, session.suspicious_hosts) &&
+        session.scoped.add(txn, inputs[session.scope_consumed])) {
       const std::size_t bytes = approx_txn_bytes(txn);
       session.scoped_bytes += bytes;
       pin_bytes(session, bytes);

@@ -26,13 +26,6 @@ std::string referrer_host(std::string_view referrer) {
   return {};
 }
 
-bool is_exploit_transaction(const HttpTransaction& txn) {
-  if (!txn.response) return false;
-  const auto type = dm::http::classify_payload(
-      txn.response->content_type().value_or(""), txn.request.uri);
-  return dm::http::is_exploit_type(type);
-}
-
 /// Stage assignment per §III-C: GET with no prior exploit download and a
 /// 30x answer -> pre-download; POST to a non-exploit host answered 200/40x
 /// after the first download -> post-download; everything else -> download.
@@ -137,12 +130,14 @@ void add_redirect_edge(WcgBuildState& s, const std::string& from_host,
 /// One-time setup for a (re-)fold: download timeline, conversation hosts,
 /// origin and victim nodes, entice edge.  Precondition: at least one
 /// transaction, `s` freshly default-constructed.
-void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
+void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns,
+              const std::vector<FoldInputs>& inputs) {
   auto& ann = s.wcg.annotations();
 
   // Download timeline (fixed for this fold; see stage_of).
-  for (const auto& txn : txns) {
-    if (!is_exploit_transaction(txn)) continue;
+  for (std::size_t i = 0; i < txns.size(); ++i) {
+    if (!dm::http::is_exploit_type(inputs[i].payload)) continue;
+    const auto& txn = txns[i];
     const std::uint64_t ts = txn.response->ts_micros;
     if (s.first_exploit_ts == 0 || ts < s.first_exploit_ts) {
       s.first_exploit_ts = ts;
@@ -192,7 +187,7 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
 /// Extends the state by one transaction.  The single per-transaction code
 /// path shared by build() and current() — equivalence by construction.
 void fold(const BuilderOptions& options, WcgBuildState& s,
-          const HttpTransaction& txn) {
+          const HttpTransaction& txn, const FoldInputs& inputs) {
   Wcg& wcg = s.wcg;
   auto& ann = wcg.annotations();
 
@@ -252,8 +247,7 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
     resp.stage = stage;
     resp.ts_micros = res_ts;
     resp.response_code = res.status_code;
-    resp.payload_type = dm::http::classify_payload(
-        res.content_type().value_or(""), txn.request.uri);
+    resp.payload_type = inputs.payload;
     resp.payload_size = res.body.size();
     wcg.add_edge(server_id, s.victim_id, resp);
 
@@ -269,9 +263,9 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
 
     // Explicit redirect evidence: Location header / meta / iframe / JS,
     // including the de-obfuscated layers.
-    for (const auto& evidence : dm::http::mine_redirects(txn, options.miner)) {
-      if (options.trusted.is_trusted(evidence.target_host)) continue;
-      add_redirect_edge(s, txn.server_host, evidence.target_host, res_ts);
+    for (const auto& target : inputs.redirect_hosts) {
+      if (options.trusted.is_trusted(target)) continue;
+      add_redirect_edge(s, txn.server_host, target, res_ts);
     }
   }
 
@@ -361,9 +355,16 @@ void finalize(WcgBuildState& s) {
   ann.has_download_stage = s.first_exploit_ts != 0;
 }
 
-}  // namespace
-
-namespace {
+/// Re-folds every transaction into a fresh state.  Precondition: at least
+/// one transaction.
+void refold(const BuilderOptions& options, WcgBuildState& s,
+            const std::vector<HttpTransaction>& txns,
+            const std::vector<FoldInputs>& inputs) {
+  prologue(s, txns, inputs);
+  for (std::size_t i = 0; i < txns.size(); ++i) {
+    fold(options, s, txns[i], inputs[i]);
+  }
+}
 
 /// One immutable default-options instance shared by every
 /// default-constructed builder (refcount bumps are the only per-builder
@@ -385,9 +386,30 @@ WcgBuilder::WcgBuilder(std::shared_ptr<const BuilderOptions> options)
     : options_(options != nullptr ? std::move(options)
                                   : shared_default_options()) {}
 
+FoldInputs derive_fold_inputs(const HttpTransaction& txn,
+                              const dm::http::RedirectMinerOptions& miner) {
+  FoldInputs inputs;
+  if (!txn.response) return inputs;
+  inputs.payload = dm::http::classify_payload(
+      txn.response->content_type().value_or(""), txn.request.uri);
+  for (auto& evidence : dm::http::mine_redirects(txn, miner)) {
+    inputs.redirect_hosts.push_back(std::move(evidence.target_host));
+  }
+  return inputs;
+}
+
 bool WcgBuilder::add(HttpTransaction transaction) {
   if (transaction.server_host.empty()) return false;
   if (options_->trusted.is_trusted(transaction.server_host)) return false;
+  inputs_.push_back(derive_fold_inputs(transaction, options_->miner));
+  transactions_.push_back(std::move(transaction));
+  return true;
+}
+
+bool WcgBuilder::add(HttpTransaction transaction, FoldInputs inputs) {
+  if (transaction.server_host.empty()) return false;
+  if (options_->trusted.is_trusted(transaction.server_host)) return false;
+  inputs_.push_back(std::move(inputs));
   transactions_.push_back(std::move(transaction));
   return true;
 }
@@ -395,8 +417,7 @@ bool WcgBuilder::add(HttpTransaction transaction) {
 Wcg WcgBuilder::build() const {
   detail::WcgBuildState state;
   if (transactions_.empty()) return std::move(state.wcg);
-  prologue(state, transactions_);
-  for (const auto& txn : transactions_) fold(*options_, state, txn);
+  refold(*options_, state, transactions_, inputs_);
   finalize(state);
   return std::move(state.wcg);
 }
@@ -411,7 +432,7 @@ bool WcgBuilder::requires_refold() const {
     const auto& txn = transactions_[i];
     // A new exploit download moves the timeline: stages (and node typing)
     // of already-folded transactions may change.
-    if (is_exploit_transaction(txn)) return true;
+    if (dm::http::is_exploit_type(inputs_[i].payload)) return true;
     // The chosen origin's referrer host just joined the conversation, so
     // the origin scan would now pick a different source (or "empty").
     if (state_.origin_name != "empty" &&
@@ -450,8 +471,7 @@ const Wcg& WcgBuilder::current() {
     if (state_.folded > 0) ++full_refolds_;
     const std::uint64_t prev_version = state_.wcg.topology_version();
     state_ = detail::WcgBuildState{};
-    prologue(state_, transactions_);
-    for (const auto& txn : transactions_) fold(*options_, state_, txn);
+    refold(*options_, state_, transactions_, inputs_);
     // The graph object kept its address but was rebuilt; keep the version
     // strictly increasing so (pointer, version) cache keys stay sound.
     state_.wcg.ensure_topology_version_above(prev_version);
@@ -460,7 +480,7 @@ const Wcg& WcgBuilder::current() {
       state_.conversation_hosts.insert(transactions_[i].server_host);
     }
     for (std::size_t i = state_.folded; i < n; ++i) {
-      fold(*options_, state_, transactions_[i]);
+      fold(*options_, state_, transactions_[i], inputs_[i]);
     }
   }
   finalize(state_);

@@ -54,6 +54,23 @@ struct BuilderOptions {
   dm::http::RedirectMinerOptions miner;
 };
 
+/// What folding one transaction needs beyond the transaction itself: the
+/// payload class of its response and the hosts its response redirects to
+/// (Location, meta, iframe and de-obfuscated JavaScript evidence, in
+/// mining order).  Both are pure functions of the transaction and the miner
+/// options, so they are derived once per transaction and kept next to it:
+/// a re-fold reads them instead of re-running the miner.
+struct FoldInputs {
+  /// classify_payload of the response; kNone without a response.
+  dm::http::PayloadType payload = dm::http::PayloadType::kNone;
+  /// target_host of each mine_redirects result; empty without a response.
+  std::vector<std::string> redirect_hosts;
+};
+
+/// Derives `txn`'s fold inputs with the given miner options.
+FoldInputs derive_fold_inputs(const dm::http::HttpTransaction& txn,
+                              const dm::http::RedirectMinerOptions& miner);
+
 namespace detail {
 
 /// Everything the per-transaction fold engine needs, beyond the Wcg itself,
@@ -118,14 +135,21 @@ class WcgBuilder {
   explicit WcgBuilder(std::shared_ptr<const BuilderOptions> options);
 
   /// Appends one transaction; returns false if it was weeded out
-  /// (trusted vendor) or malformed.  Cheap: folding into the incremental
-  /// graph is deferred to the next current() call.
+  /// (trusted vendor) or malformed.  Derives the transaction's fold inputs;
+  /// folding into the incremental graph is deferred to the next current()
+  /// call.
   bool add(dm::http::HttpTransaction transaction);
+  /// Same, with fold inputs the caller already derived for this transaction
+  /// with this builder's miner options (derive_fold_inputs, or another
+  /// builder's fold_inputs() entry).  Results are identical to add(txn).
+  bool add(dm::http::HttpTransaction transaction, FoldInputs inputs);
 
   std::size_t transaction_count() const noexcept { return transactions_.size(); }
   const std::vector<dm::http::HttpTransaction>& transactions() const noexcept {
     return transactions_;
   }
+  /// fold_inputs()[i] belongs to transactions()[i].
+  const std::vector<FoldInputs>& fold_inputs() const noexcept { return inputs_; }
 
   /// Builds the full annotated WCG from scratch from everything added so
   /// far.  The reference implementation; current() must match it bitwise.
@@ -149,6 +173,7 @@ class WcgBuilder {
 
   std::shared_ptr<const BuilderOptions> options_;  // immutable, never null
   std::vector<dm::http::HttpTransaction> transactions_;
+  std::vector<FoldInputs> inputs_;  // parallel to transactions_
   detail::WcgBuildState state_;  // incremental graph for current()
   std::uint64_t full_refolds_ = 0;
 };

@@ -40,4 +40,33 @@ Components connected_components(const Adjacency& adj);
 /// Number of nodes within hop distance <= k of `source` (excluding source).
 std::size_t nodes_within(const Adjacency& adj, NodeId source, std::uint32_t k);
 
+/// The all-sources BFS metrics a PathSweep can produce (bit flags).
+enum PathMetric : unsigned {
+  kPathCloseness = 1u << 0,
+  kPathBetweenness = 1u << 1,
+  kPathLoad = 1u << 2,
+  kPathDiameter = 1u << 3,
+  kPathKnn = 1u << 4,
+  kPathAll = (1u << 5) - 1,
+};
+
+/// Results of one all-sources sweep; fields not requested stay empty / 0.
+/// Each field equals the like-named function's result bit for bit
+/// (closeness_centrality, betweenness_centrality, load_centrality,
+/// diameter, average_k_nearest_neighbors).
+struct PathMetrics {
+  std::vector<double> closeness;
+  std::vector<double> betweenness;
+  std::vector<double> load;
+  std::uint32_t diameter = 0;
+  double avg_k_nearest_neighbors = 0.0;
+};
+
+/// One BFS per source yields dist, the shortest-path counts sigma and the
+/// predecessor DAG, and every requested metric folds its share of that
+/// source in before the next one starts.  All per-source state lives in
+/// flat buffers reused across sources.
+PathMetrics path_metrics(const Adjacency& adj, unsigned which,
+                         std::uint32_t knn_hops = 2);
+
 }  // namespace dm::graph

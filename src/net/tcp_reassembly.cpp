@@ -86,7 +86,11 @@ void TcpReassembler::ingest(const ParsedPacket& pkt, std::uint64_t ts_micros) {
   }
   if (pkt.flags.fin) {
     flow.closed = true;
-    dir.next_seq += 1;
+    // The FIN consumes one sequence number, but only once the stream has
+    // reached it: a FIN ahead of a gap must not shift the late tail, and a
+    // retransmitted FIN must not advance the stream a second time.
+    const auto fin_seq = pkt.seq + static_cast<std::uint32_t>(pkt.payload.size());
+    if (fin_seq == dir.next_seq) dir.next_seq += 1;
   }
 }
 

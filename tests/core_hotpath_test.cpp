@@ -107,6 +107,55 @@ TEST(HotpathBuilderTest, IncrementalMatchesRebuildOnBenignEpisodes) {
   }
 }
 
+/// Fold inputs handed over by another builder (as the online detector's
+/// scoped builder receives them from the session builder) must fold exactly
+/// like inputs the builder derives itself — through scope rescans, which
+/// restart the receiving builder, and through the full re-folds a new
+/// exploit download forces.
+TEST(HotpathBuilderTest, CarriedFoldInputsMatchDerivedAcrossRescansAndRefolds) {
+  dm::synth::TraceGenerator gen(7003);
+  std::uint64_t refolds = 0;
+  std::uint64_t rescans = 0;
+  for (const char* family : {"Angler", "Nuclear", "Magnitude", "Fiesta"}) {
+    const auto txns = gen.infection(dm::synth::family_by_name(family)).transactions;
+    WcgBuilder session;  // derives every transaction's inputs once
+    WcgBuilder derived;  // scope copy through add(txn)
+    WcgBuilder carried;  // scope copy through add(txn, inputs)
+    std::size_t consumed = 0;
+    const FeatureExtractorOptions features;
+    for (std::size_t i = 0; i < txns.size(); ++i) {
+      ASSERT_TRUE(session.add(txns[i]));
+      const FoldInputs& stored = session.fold_inputs().back();
+      const FoldInputs fresh = derive_fold_inputs(txns[i], BuilderOptions{}.miner);
+      ASSERT_EQ(stored.payload, fresh.payload);
+      ASSERT_EQ(stored.redirect_hosts, fresh.redirect_hosts);
+      if (i == txns.size() / 3 || i == 2 * txns.size() / 3) {
+        // Rescan: the scope restarts from the first transaction.
+        refolds += carried.full_refolds();
+        derived = WcgBuilder();
+        carried = WcgBuilder();
+        consumed = 0;
+        ++rescans;
+      }
+      for (; consumed < session.transaction_count(); ++consumed) {
+        derived.add(session.transactions()[consumed]);
+        carried.add(session.transactions()[consumed],
+                    session.fold_inputs()[consumed]);
+      }
+      const Wcg& a = derived.current();
+      const Wcg& b = carried.current();
+      expect_wcgs_identical(a, b);
+      expect_features_identical(extract_features(a, features),
+                                extract_features(b, features));
+      expect_wcgs_identical(derived.build(), carried.build());
+      ASSERT_EQ(derived.full_refolds(), carried.full_refolds());
+    }
+    refolds += carried.full_refolds();
+  }
+  EXPECT_EQ(rescans, 8u);
+  EXPECT_GT(refolds, 0u);  // the exploit-triggered re-fold path ran
+}
+
 HttpTransaction make_txn(const std::string& server, const std::string& uri,
                          std::uint64_t ts_micros) {
   HttpTransaction txn;

@@ -103,6 +103,39 @@ TEST(TcpReassemblyTest, FinMarksClosed) {
   EXPECT_TRUE(r.flows()[0]->closed);
 }
 
+TEST(TcpReassemblyTest, FinAheadOfGapKeepsLateTailComplete) {
+  TcpReassembler r;
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 1);
+  // The FIN-bearing last segment overtakes the data before it.
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 107, "world",
+                       {.ack = true, .fin = true}),
+           2);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 104, "lo "), 3);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 101, "hel"), 4);
+  const auto* flow = r.flows()[0];
+  EXPECT_TRUE(flow->closed);
+  EXPECT_EQ(flow->client_to_server.data, "hello world");
+  EXPECT_EQ(r.counters().overlapping_segments, 0u);
+  EXPECT_EQ(r.counters().duplicate_segments, 0u);
+}
+
+TEST(TcpReassemblyTest, DuplicateFinAdvancesStreamOnce) {
+  TcpReassembler r;
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 1);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 101, "abc",
+                       {.ack = true, .fin = true}),
+           2);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 101, "abc",
+                       {.ack = true, .fin = true}),
+           3);
+  // The FIN consumed sequence number 104, so the stream now expects 105.
+  // Had the retransmitted FIN advanced it again, this byte would be
+  // discarded as a duplicate.
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 105, "Z"), 4);
+  EXPECT_EQ(r.flows()[0]->client_to_server.data, "abcZ");
+  EXPECT_EQ(r.counters().duplicate_segments, 1u);
+}
+
 TEST(TcpReassemblyTest, RstMarksClosed) {
   TcpReassembler r;
   r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 1);
