@@ -8,6 +8,7 @@ namespace dm::core {
 namespace {
 
 using detail::WcgBuildState;
+using Entries = std::vector<std::shared_ptr<const WcgBuilder::Entry>>;
 using dm::http::HttpTransaction;
 using dm::http::PayloadType;
 using dm::util::registrable_domain;
@@ -130,14 +131,13 @@ void add_redirect_edge(WcgBuildState& s, const std::string& from_host,
 /// One-time setup for a (re-)fold: download timeline, conversation hosts,
 /// origin and victim nodes, entice edge.  Precondition: at least one
 /// transaction, `s` freshly default-constructed.
-void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns,
-              const std::vector<FoldInputs>& inputs) {
+void prologue(WcgBuildState& s, const Entries& entries) {
   auto& ann = s.wcg.annotations();
 
   // Download timeline (fixed for this fold; see stage_of).
-  for (std::size_t i = 0; i < txns.size(); ++i) {
-    if (!dm::http::is_exploit_type(inputs[i].payload)) continue;
-    const auto& txn = txns[i];
+  for (const auto& entry : entries) {
+    if (!dm::http::is_exploit_type(entry->inputs.payload)) continue;
+    const auto& txn = entry->txn;
     const std::uint64_t ts = txn.response->ts_micros;
     if (s.first_exploit_ts == 0 || ts < s.first_exploit_ts) {
       s.first_exploit_ts = ts;
@@ -149,9 +149,11 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns,
   // ---- Origin node -------------------------------------------------------
   // The enticement source is the referrer of the earliest transaction whose
   // referrer host is outside the conversation (§III-B "origin node").
-  for (const auto& txn : txns) s.conversation_hosts.insert(txn.server_host);
-  for (const auto& txn : txns) {
-    if (const auto ref = txn.request.referrer()) {
+  for (const auto& entry : entries) {
+    s.conversation_hosts.insert(entry->txn.server_host);
+  }
+  for (const auto& entry : entries) {
+    if (const auto ref = entry->txn.request.referrer()) {
       const std::string host = referrer_host(*ref);
       if (!host.empty() &&
           s.conversation_hosts.find(host) == s.conversation_hosts.end()) {
@@ -166,9 +168,10 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns,
   s.wcg.set_origin(s.origin_id);
 
   // ---- Victim node -------------------------------------------------------
-  s.victim_id = s.wcg.add_host(txns.front().client_host);
+  const HttpTransaction& first = entries.front()->txn;
+  s.victim_id = s.wcg.add_host(first.client_host);
   s.wcg.node(s.victim_id).type = NodeType::kVictim;
-  s.wcg.node(s.victim_id).ip = txns.front().client_host;
+  s.wcg.node(s.victim_id).ip = first.client_host;
   s.wcg.set_victim(s.victim_id);
 
   // Origin enticed the victim into the conversation.
@@ -176,11 +179,11 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns,
     WcgEdge entice;
     entice.kind = EdgeKind::kRedirect;
     entice.stage = Stage::kPreDownload;
-    entice.ts_micros = txns.front().request.ts_micros;
+    entice.ts_micros = first.request.ts_micros;
     s.wcg.add_edge(s.origin_id, s.victim_id, entice);
   }
 
-  s.first_ts = txns.front().request.ts_micros;
+  s.first_ts = first.request.ts_micros;
   s.last_ts = s.first_ts;
 }
 
@@ -358,11 +361,10 @@ void finalize(WcgBuildState& s) {
 /// Re-folds every transaction into a fresh state.  Precondition: at least
 /// one transaction.
 void refold(const BuilderOptions& options, WcgBuildState& s,
-            const std::vector<HttpTransaction>& txns,
-            const std::vector<FoldInputs>& inputs) {
-  prologue(s, txns, inputs);
-  for (std::size_t i = 0; i < txns.size(); ++i) {
-    fold(options, s, txns[i], inputs[i]);
+            const Entries& entries) {
+  prologue(s, entries);
+  for (const auto& entry : entries) {
+    fold(options, s, entry->txn, entry->inputs);
   }
 }
 
@@ -389,6 +391,9 @@ WcgBuilder::WcgBuilder(std::shared_ptr<const BuilderOptions> options)
 FoldInputs derive_fold_inputs(const HttpTransaction& txn,
                               const dm::http::RedirectMinerOptions& miner) {
   FoldInputs inputs;
+  if (const auto ref = txn.request.referrer()) {
+    inputs.referrer_host = dm::http::host_of_url(*ref);
+  }
   if (!txn.response) return inputs;
   inputs.payload = dm::http::classify_payload(
       txn.response->content_type().value_or(""), txn.request.uri);
@@ -401,23 +406,24 @@ FoldInputs derive_fold_inputs(const HttpTransaction& txn,
 bool WcgBuilder::add(HttpTransaction transaction) {
   if (transaction.server_host.empty()) return false;
   if (options_->trusted.is_trusted(transaction.server_host)) return false;
-  inputs_.push_back(derive_fold_inputs(transaction, options_->miner));
-  transactions_.push_back(std::move(transaction));
+  FoldInputs inputs = derive_fold_inputs(transaction, options_->miner);
+  entries_.push_back(std::make_shared<const Entry>(
+      Entry{std::move(transaction), std::move(inputs)}));
   return true;
 }
 
-bool WcgBuilder::add(HttpTransaction transaction, FoldInputs inputs) {
-  if (transaction.server_host.empty()) return false;
-  if (options_->trusted.is_trusted(transaction.server_host)) return false;
-  inputs_.push_back(std::move(inputs));
-  transactions_.push_back(std::move(transaction));
+bool WcgBuilder::add(std::shared_ptr<const Entry> entry) {
+  const std::string& host = entry->txn.server_host;
+  if (host.empty()) return false;
+  if (options_->trusted.is_trusted(host)) return false;
+  entries_.push_back(std::move(entry));
   return true;
 }
 
 Wcg WcgBuilder::build() const {
   detail::WcgBuildState state;
-  if (transactions_.empty()) return std::move(state.wcg);
-  refold(*options_, state, transactions_, inputs_);
+  if (entries_.empty()) return std::move(state.wcg);
+  refold(*options_, state, entries_);
   finalize(state);
   return std::move(state.wcg);
 }
@@ -428,11 +434,11 @@ bool WcgBuilder::requires_refold() const {
   // honor that, so the option pins current() to refold-per-call.
   if (options_->referrer_timing_redirects) return true;
 
-  for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-    const auto& txn = transactions_[i];
+  for (std::size_t i = state_.folded; i < entries_.size(); ++i) {
+    const auto& txn = entries_[i]->txn;
     // A new exploit download moves the timeline: stages (and node typing)
     // of already-folded transactions may change.
-    if (dm::http::is_exploit_type(inputs_[i].payload)) return true;
+    if (dm::http::is_exploit_type(entries_[i]->inputs.payload)) return true;
     // The chosen origin's referrer host just joined the conversation, so
     // the origin scan would now pick a different source (or "empty").
     if (state_.origin_name != "empty" &&
@@ -445,11 +451,11 @@ bool WcgBuilder::requires_refold() const {
     // No enticement source so far: does any pending transaction carry a
     // referrer that stays outside the *grown* conversation-host set?
     std::set<std::string> pending_hosts;
-    for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-      pending_hosts.insert(transactions_[i].server_host);
+    for (std::size_t i = state_.folded; i < entries_.size(); ++i) {
+      pending_hosts.insert(entries_[i]->txn.server_host);
     }
-    for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-      if (const auto ref = transactions_[i].request.referrer()) {
+    for (std::size_t i = state_.folded; i < entries_.size(); ++i) {
+      if (const auto ref = entries_[i]->txn.request.referrer()) {
         const std::string host = referrer_host(*ref);
         if (!host.empty() &&
             state_.conversation_hosts.find(host) ==
@@ -464,23 +470,23 @@ bool WcgBuilder::requires_refold() const {
 }
 
 const Wcg& WcgBuilder::current() {
-  const std::size_t n = transactions_.size();
+  const std::size_t n = entries_.size();
   if (state_.folded == n) return state_.wcg;  // finalized by the last call
 
   if (state_.folded == 0 || requires_refold()) {
     if (state_.folded > 0) ++full_refolds_;
     const std::uint64_t prev_version = state_.wcg.topology_version();
     state_ = detail::WcgBuildState{};
-    refold(*options_, state_, transactions_, inputs_);
+    refold(*options_, state_, entries_);
     // The graph object kept its address but was rebuilt; keep the version
     // strictly increasing so (pointer, version) cache keys stay sound.
     state_.wcg.ensure_topology_version_above(prev_version);
   } else {
     for (std::size_t i = state_.folded; i < n; ++i) {
-      state_.conversation_hosts.insert(transactions_[i].server_host);
+      state_.conversation_hosts.insert(entries_[i]->txn.server_host);
     }
     for (std::size_t i = state_.folded; i < n; ++i) {
-      fold(*options_, state_, transactions_[i], inputs_[i]);
+      fold(*options_, state_, entries_[i]->txn, entries_[i]->inputs);
     }
   }
   finalize(state_);

@@ -57,14 +57,20 @@ struct BuilderOptions {
 /// What folding one transaction needs beyond the transaction itself: the
 /// payload class of its response and the hosts its response redirects to
 /// (Location, meta, iframe and de-obfuscated JavaScript evidence, in
-/// mining order).  Both are pure functions of the transaction and the miner
-/// options, so they are derived once per transaction and kept next to it:
-/// a re-fold reads them instead of re-running the miner.
+/// mining order), plus the referrer's host that the online detector's
+/// grouping and scope rules read.  All are pure functions of the
+/// transaction and the miner options, so they are derived once per
+/// transaction and kept next to it: a re-fold reads them instead of
+/// re-running the miner.
 struct FoldInputs {
   /// classify_payload of the response; kNone without a response.
   dm::http::PayloadType payload = dm::http::PayloadType::kNone;
   /// target_host of each mine_redirects result; empty without a response.
   std::vector<std::string> redirect_hosts;
+  /// http::host_of_url of the Referer; empty without one or when it is not
+  /// an absolute URL.  Not the fold's origin rule, which also accepts a
+  /// bare hostname.
+  std::string referrer_host;
 };
 
 /// Derives `txn`'s fold inputs with the given miner options.
@@ -134,22 +140,30 @@ class WcgBuilder {
   /// session this shared handle instead.  Null falls back to the default.
   explicit WcgBuilder(std::shared_ptr<const BuilderOptions> options);
 
+  /// One stored transaction and its fold inputs.  Immutable once stored,
+  /// so builders share entries instead of copying them: the online
+  /// detector's scoped builder holds the same entries as its session
+  /// builder.
+  struct Entry {
+    dm::http::HttpTransaction txn;
+    FoldInputs inputs;
+  };
+
   /// Appends one transaction; returns false if it was weeded out
   /// (trusted vendor) or malformed.  Derives the transaction's fold inputs;
   /// folding into the incremental graph is deferred to the next current()
   /// call.
   bool add(dm::http::HttpTransaction transaction);
-  /// Same, with fold inputs the caller already derived for this transaction
-  /// with this builder's miner options (derive_fold_inputs, or another
-  /// builder's fold_inputs() entry).  Results are identical to add(txn).
-  bool add(dm::http::HttpTransaction transaction, FoldInputs inputs);
+  /// Same, sharing an entry whose inputs were derived with this builder's
+  /// miner options (derive_fold_inputs, or another builder's entries()).
+  /// Results are identical to add(entry->txn).  `entry` must not be null.
+  bool add(std::shared_ptr<const Entry> entry);
 
-  std::size_t transaction_count() const noexcept { return transactions_.size(); }
-  const std::vector<dm::http::HttpTransaction>& transactions() const noexcept {
-    return transactions_;
+  std::size_t transaction_count() const noexcept { return entries_.size(); }
+  /// Stored entries in insertion order.
+  const std::vector<std::shared_ptr<const Entry>>& entries() const noexcept {
+    return entries_;
   }
-  /// fold_inputs()[i] belongs to transactions()[i].
-  const std::vector<FoldInputs>& fold_inputs() const noexcept { return inputs_; }
 
   /// Builds the full annotated WCG from scratch from everything added so
   /// far.  The reference implementation; current() must match it bitwise.
@@ -172,8 +186,7 @@ class WcgBuilder {
   bool requires_refold() const;
 
   std::shared_ptr<const BuilderOptions> options_;  // immutable, never null
-  std::vector<dm::http::HttpTransaction> transactions_;
-  std::vector<FoldInputs> inputs_;  // parallel to transactions_
+  std::vector<std::shared_ptr<const Entry>> entries_;
   detail::WcgBuildState state_;  // incremental graph for current()
   std::uint64_t full_refolds_ = 0;
 };

@@ -9,7 +9,6 @@ namespace dm::http {
 namespace {
 
 using dm::util::iequals;
-using dm::util::ifind;
 
 // The paper matched conversations against "45 distinct file extensions that
 // we compiled from industry reports on ransomware" [10].  This list follows
@@ -129,59 +128,48 @@ PayloadType classify_payload(std::string_view content_type,
 
   if (content_type.empty()) return from_ext;
 
+  // Lower-cased once; every needle below is lower-case, so a plain find
+  // matches exactly where a case-insensitive search would.
+  const std::string lowered = dm::util::to_lower(content_type);
+  const auto has = [&lowered](std::string_view needle) noexcept {
+    return lowered.find(needle) != std::string::npos;
+  };
+
   // Generic container types defer to the extension.
-  if (ifind(content_type, "octet-stream") != std::string_view::npos ||
-      ifind(content_type, "application/download") != std::string_view::npos) {
+  if (has("octet-stream") || has("application/download")) {
     return from_ext != PayloadType::kNone && from_ext != PayloadType::kOther
                ? from_ext
                : PayloadType::kExe;
   }
-  if (ifind(content_type, "text/html") != std::string_view::npos) return PayloadType::kHtml;
-  if (ifind(content_type, "javascript") != std::string_view::npos ||
-      ifind(content_type, "ecmascript") != std::string_view::npos) {
+  if (has("text/html")) return PayloadType::kHtml;
+  if (has("javascript") || has("ecmascript")) {
     return PayloadType::kJavaScript;
   }
-  if (ifind(content_type, "text/css") != std::string_view::npos) return PayloadType::kCss;
-  if (ifind(content_type, "image/") != std::string_view::npos) return PayloadType::kImage;
-  if (ifind(content_type, "application/json") != std::string_view::npos) {
-    return PayloadType::kJson;
-  }
-  if (ifind(content_type, "application/pdf") != std::string_view::npos) {
-    return PayloadType::kPdf;
-  }
-  if (ifind(content_type, "java-archive") != std::string_view::npos) {
-    return PayloadType::kJar;
-  }
-  if (ifind(content_type, "shockwave-flash") != std::string_view::npos ||
-      ifind(content_type, "x-flash") != std::string_view::npos) {
+  if (has("text/css")) return PayloadType::kCss;
+  if (has("image/")) return PayloadType::kImage;
+  if (has("application/json")) return PayloadType::kJson;
+  if (has("application/pdf")) return PayloadType::kPdf;
+  if (has("java-archive")) return PayloadType::kJar;
+  if (has("shockwave-flash") || has("x-flash")) {
     return PayloadType::kSwf;
   }
-  if (ifind(content_type, "silverlight") != std::string_view::npos ||
-      ifind(content_type, "x-silverlight") != std::string_view::npos) {
+  if (has("silverlight") || has("x-silverlight")) {
     return PayloadType::kSilverlight;
   }
-  if (ifind(content_type, "msdownload") != std::string_view::npos ||
-      ifind(content_type, "x-msdos-program") != std::string_view::npos ||
-      ifind(content_type, "x-executable") != std::string_view::npos) {
+  if (has("msdownload") || has("x-msdos-program") || has("x-executable")) {
     return PayloadType::kExe;
   }
-  if (ifind(content_type, "zip") != std::string_view::npos ||
-      ifind(content_type, "x-rar") != std::string_view::npos ||
-      ifind(content_type, "x-gzip") != std::string_view::npos ||
-      ifind(content_type, "x-7z") != std::string_view::npos) {
+  if (has("zip") || has("x-rar") || has("x-gzip") || has("x-7z")) {
     return PayloadType::kArchive;
   }
-  if (ifind(content_type, "msword") != std::string_view::npos ||
-      ifind(content_type, "officedocument") != std::string_view::npos ||
-      ifind(content_type, "ms-excel") != std::string_view::npos ||
-      ifind(content_type, "ms-powerpoint") != std::string_view::npos) {
+  if (has("msword") || has("officedocument") || has("ms-excel") ||
+      has("ms-powerpoint")) {
     return PayloadType::kOffice;
   }
-  if (ifind(content_type, "video/") != std::string_view::npos ||
-      ifind(content_type, "mpegurl") != std::string_view::npos) {
+  if (has("video/") || has("mpegurl")) {
     return PayloadType::kVideo;
   }
-  if (ifind(content_type, "text/plain") != std::string_view::npos) {
+  if (has("text/plain")) {
     // Crypto-locker payloads often travel as text/plain with a telltale
     // extension; prefer the extension signal.
     return from_ext == PayloadType::kCrypt ? PayloadType::kCrypt : PayloadType::kText;

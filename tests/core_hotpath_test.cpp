@@ -107,11 +107,11 @@ TEST(HotpathBuilderTest, IncrementalMatchesRebuildOnBenignEpisodes) {
   }
 }
 
-/// Fold inputs handed over by another builder (as the online detector's
-/// scoped builder receives them from the session builder) must fold exactly
-/// like inputs the builder derives itself — through scope rescans, which
-/// restart the receiving builder, and through the full re-folds a new
-/// exploit download forces.
+/// Entries shared from another builder (as the online detector's scoped
+/// builder shares the session builder's) must fold exactly like
+/// transactions whose inputs the builder derives itself — through scope
+/// rescans, which restart the receiving builder, and through the full
+/// re-folds a new exploit download forces.
 TEST(HotpathBuilderTest, CarriedFoldInputsMatchDerivedAcrossRescansAndRefolds) {
   dm::synth::TraceGenerator gen(7003);
   std::uint64_t refolds = 0;
@@ -120,15 +120,16 @@ TEST(HotpathBuilderTest, CarriedFoldInputsMatchDerivedAcrossRescansAndRefolds) {
     const auto txns = gen.infection(dm::synth::family_by_name(family)).transactions;
     WcgBuilder session;  // derives every transaction's inputs once
     WcgBuilder derived;  // scope copy through add(txn)
-    WcgBuilder carried;  // scope copy through add(txn, inputs)
+    WcgBuilder carried;  // scope sharing the session's entries
     std::size_t consumed = 0;
     const FeatureExtractorOptions features;
     for (std::size_t i = 0; i < txns.size(); ++i) {
       ASSERT_TRUE(session.add(txns[i]));
-      const FoldInputs& stored = session.fold_inputs().back();
+      const FoldInputs& stored = session.entries().back()->inputs;
       const FoldInputs fresh = derive_fold_inputs(txns[i], BuilderOptions{}.miner);
       ASSERT_EQ(stored.payload, fresh.payload);
       ASSERT_EQ(stored.redirect_hosts, fresh.redirect_hosts);
+      ASSERT_EQ(stored.referrer_host, fresh.referrer_host);
       if (i == txns.size() / 3 || i == 2 * txns.size() / 3) {
         // Rescan: the scope restarts from the first transaction.
         refolds += carried.full_refolds();
@@ -138,9 +139,10 @@ TEST(HotpathBuilderTest, CarriedFoldInputsMatchDerivedAcrossRescansAndRefolds) {
         ++rescans;
       }
       for (; consumed < session.transaction_count(); ++consumed) {
-        derived.add(session.transactions()[consumed]);
-        carried.add(session.transactions()[consumed],
-                    session.fold_inputs()[consumed]);
+        const auto& entry = session.entries()[consumed];
+        derived.add(entry->txn);
+        ASSERT_TRUE(carried.add(entry));
+        ASSERT_EQ(carried.entries().back(), entry);  // shared, not copied
       }
       const Wcg& a = derived.current();
       const Wcg& b = carried.current();
