@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): throughput/latency of the pipeline
-// stages — pcap parsing, TCP reassembly + HTTP reconstruction, WCG
-// construction, feature extraction (including the graph-metrics sweep), and
-// ERF prediction.  These bound the per-transaction cost of on-the-wire
-// deployment (§V-B).
+// stages — pcap parsing, TCP reassembly + HTTP reconstruction, redirect
+// mining, WCG construction, feature extraction (including the graph-metrics
+// sweep), and ERF prediction.  These bound the per-transaction cost of
+// on-the-wire deployment (§V-B).
 #include <benchmark/benchmark.h>
 
 #include "core/detector.h"
@@ -11,6 +11,7 @@
 #include "graph/connectivity.h"
 #include "graph/metrics.h"
 #include "graph/shortest_paths.h"
+#include "http/redirect_miner.h"
 #include "http/transaction_stream.h"
 #include "synth/dataset.h"
 #include "synth/pcap_export.h"
@@ -68,6 +69,30 @@ void BM_TcpHttpReconstruction(benchmark::State& state) {
       static_cast<std::int64_t>(sample_infection().transactions.size()));
 }
 BENCHMARK(BM_TcpHttpReconstruction);
+
+void BM_MineRedirectsManyMatches(benchmark::State& state) {
+  // A script body just under the miner's 1 MiB cap made of one lower-case
+  // location assignment repeated: tens of thousands of matches for the
+  // case-insensitive searches, none of them upper-case.  The miner resumes
+  // its search after each match, so this is linear only if one search costs
+  // O(distance to its match).
+  const std::string unit = "location.href='http://a.example/';\n";
+  dm::http::HttpTransaction txn;
+  txn.response.emplace();
+  txn.response->status_code = 200;
+  txn.response->headers.add("Content-Type", "text/html");
+  while (txn.response->body.size() + unit.size() <
+         dm::http::RedirectMinerOptions{}.max_body_bytes) {
+    txn.response->body += unit;
+  }
+  for (auto _ : state) {
+    const auto evidence = dm::http::mine_redirects(txn);
+    benchmark::DoNotOptimize(evidence.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(txn.response->body.size()));
+}
+BENCHMARK(BM_MineRedirectsManyMatches)->Unit(benchmark::kMillisecond);
 
 void BM_WcgBuild(benchmark::State& state) {
   const auto& episode = sample_infection();
