@@ -82,7 +82,9 @@ void BM_DecodeCorrupted(benchmark::State& state) {
 BENCHMARK(BM_DecodeCorrupted)->Unit(benchmark::kMillisecond);
 
 void BM_ReconstructClean(benchmark::State& state) {
-  const auto capture = dm::net::decode_pcap(clean_bytes()).file;
+  const auto& bytes = clean_bytes();
+  const auto decoded = dm::net::decode_pcap(bytes);
+  const auto& capture = decoded.file;
   for (auto _ : state) {
     const auto txns = dm::http::transactions_from_pcap(capture);
     benchmark::DoNotOptimize(txns.size());
@@ -94,7 +96,8 @@ void BM_ReconstructCorrupted(benchmark::State& state) {
   // Frame-level damage on top of the byte-level damage: undecodable
   // ethertypes and overlapping segments exercise the TCP/HTTP quarantine
   // paths, not just the pcap one.
-  auto capture = dm::net::decode_pcap(corrupted_bytes()).file;
+  const auto& bytes = corrupted_bytes();
+  auto capture = dm::faultinject::owned_copy(dm::net::decode_pcap(bytes).file);
   dm::util::Rng rng(7);
   dm::faultinject::garble_ethertype(capture, 32, rng);
   dm::faultinject::overlap_segments(capture, 32, rng);

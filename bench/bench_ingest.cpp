@@ -1,12 +1,11 @@
 // Million-session ingest bench (ISSUE 9): the two scaling walls of the
 // ingest path, measured with their correctness fences.
 //
-// Phase 1 — zero-copy pcap decode A/B.  The owning path reads the capture
-// into a heap buffer and copies every packet's bytes into its own vector;
-// the mmap path maps the file and hands reconstruction span slices of the
-// mapping (net/pcap_mmap.h).  Fence first: both paths must reconstruct the
-// IDENTICAL transaction stream; a speedup for a different answer is
-// worthless.  Ratio recorded in the --json record.
+// Phase 1 — capture decode throughput.  transactions_from_pcap_file maps
+// the capture and hands reconstruction span slices of the mapping
+// (net/pcap_mmap.h); the best-of-N MB/s is recorded in the --json record.
+// Fence first: every repetition must reconstruct the IDENTICAL transaction
+// stream; a speed for a different answer is worthless.
 //
 // Phase 2 — budgeted session state at a million live sessions.  A stream of
 // 1.25M distinct clients fills the detector past a 1.05M-session budget;
@@ -22,10 +21,7 @@
 // at 1/2/8 shards) must produce the bit-identical alert set of the
 // unbounded sequential engine: a budget that never has to evict must be
 // invisible.
-//
-// Single-CPU caveat: on 1-hardware-thread containers the decode ratio
-// reflects copy/allocation avoidance only (no parallel overlap); the
-// caveat string is stamped into the JSON record when it applies.
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,7 +38,6 @@
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
 #include "net/pcap.h"
-#include "net/pcap_mmap.h"
 #include "runtime/sharded_online.h"
 #include "synth/families.h"
 #include "synth/generator.h"
@@ -107,25 +102,6 @@ std::size_t stream_digest(const std::vector<HttpTransaction>& txns) {
     mix(t.response ? static_cast<std::size_t>(t.response->status_code) : 0);
   }
   return h;
-}
-
-struct DecodeResult {
-  double best_mb_per_s = 0;
-  std::size_t transactions = 0;
-  std::size_t digest = 0;
-};
-
-/// Best-of-`reps` for one decode path, interleaving handled by the caller.
-template <typename Fn>
-void decode_rep(DecodeResult& r, std::uint64_t bytes, Fn&& decode) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto txns = decode();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double s = std::chrono::duration<double>(t1 - t0).count();
-  r.best_mb_per_s =
-      std::max(r.best_mb_per_s, static_cast<double>(bytes) / 1e6 / s);
-  r.transactions = txns.size();
-  r.digest = stream_digest(txns);
 }
 
 // ---------------------------------------------------------------- phase 2
@@ -240,47 +216,48 @@ int main(int argc, char** argv) {
   const double scale = dm::bench::scale_from_env(1.0);
   const std::uint64_t seed = dm::bench::seed_from_env();
   dm::bench::print_header(
-      "bench_ingest: zero-copy decode + million-session budgeted state",
+      "bench_ingest: capture decode + million-session budgeted state",
       scale, seed);
   if (json_path && !dm::bench::check_baseline_hardware(*json_path)) return 1;
 
-  // --- phase 1: zero-copy decode A/B --------------------------------------
+  // --- phase 1: capture decode --------------------------------------------
   const std::size_t episodes =
       std::max<std::size_t>(64, static_cast<std::size_t>(1536 * scale));
   const auto [capture_path, capture_bytes] = build_capture(seed, episodes);
   std::printf("capture: %zu episodes, %.1f MB at %s\n", episodes,
               static_cast<double>(capture_bytes) / 1e6, capture_path.c_str());
 
-  DecodeResult owning, mmapped;
   constexpr int kDecodeReps = 5;
+  double decode_mb_per_s = 0;
+  std::size_t decode_transactions = 0;
+  std::size_t first_digest = 0;
   for (int rep = 0; rep < kDecodeReps; ++rep) {
-    // Interleaved round-robin: scheduler drift on 1-core containers hits
-    // both arms alike.
-    decode_rep(owning, capture_bytes, [&] {
-      return dm::http::transactions_from_pcap_file(capture_path);
-    });
-    decode_rep(mmapped, capture_bytes, [&] {
-      return dm::http::transactions_from_pcap_file_mmap(capture_path);
-    });
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto txns = dm::http::transactions_from_pcap_file(capture_path);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    decode_mb_per_s = std::max(
+        decode_mb_per_s, static_cast<double>(capture_bytes) / 1e6 / s);
+    const std::size_t digest = stream_digest(txns);
+    if (rep == 0) {
+      first_digest = digest;
+      decode_transactions = txns.size();
+    } else if (digest != first_digest || txns.size() != decode_transactions) {
+      std::fprintf(stderr,
+                   "FATAL: decode repetition %d reconstructed a different "
+                   "transaction stream (%zu vs %zu txns)\n",
+                   rep, txns.size(), decode_transactions);
+      return 1;
+    }
   }
   std::filesystem::remove(capture_path);
-
-  if (owning.transactions != mmapped.transactions ||
-      owning.digest != mmapped.digest) {
-    std::fprintf(stderr,
-                 "FATAL: mmap decode reconstructed a different transaction "
-                 "stream (%zu vs %zu txns, digest %zx vs %zx)\n",
-                 mmapped.transactions, owning.transactions, mmapped.digest,
-                 owning.digest);
+  if (decode_transactions == 0) {
+    std::fprintf(stderr, "FATAL: the capture reconstructed no transactions\n");
     return 1;
   }
-  const double decode_ratio = mmapped.best_mb_per_s / owning.best_mb_per_s;
-  std::printf("decode (best of %d):\n", kDecodeReps);
-  std::printf("  owning copy  %8.1f MB/s  (%zu transactions)\n",
-              owning.best_mb_per_s, owning.transactions);
-  std::printf("  mmap view    %8.1f MB/s\n", mmapped.best_mb_per_s);
-  std::printf("  ratio        %8.2fx  (identical streams verified)\n\n",
-              decode_ratio);
+  std::printf("decode (best of %d): %8.1f MB/s  (%zu transactions, identical "
+              "streams verified)\n\n",
+              kDecodeReps, decode_mb_per_s, decode_transactions);
 
   // --- phase 2: million-session fill under budget -------------------------
   const std::size_t total =
@@ -385,21 +362,13 @@ int main(int argc, char** argv) {
               "(%zu alerts, score bits included)\n",
               reference.size());
 
-  const bool single_cpu = std::thread::hardware_concurrency() <= 1;
-  if (single_cpu) {
-    std::printf("\nnote: 1 hardware thread — decode ratio reflects "
-                "copy/allocation avoidance only, no parallel overlap\n");
-  }
-
   if (json_path) {
     dm::bench::JsonRecord record;
     record.set("bench", "bench_ingest");
     record.set("capture_mb", static_cast<double>(capture_bytes) / 1e6);
-    record.set("decode_owning_mb_per_s", owning.best_mb_per_s);
-    record.set("decode_mmap_mb_per_s", mmapped.best_mb_per_s);
-    record.set("decode_ratio", decode_ratio);
+    record.set("decode_mmap_mb_per_s", decode_mb_per_s);
     record.set("decode_transactions",
-               static_cast<std::uint64_t>(owning.transactions));
+               static_cast<std::uint64_t>(decode_transactions));
     record.set("fill_clients", static_cast<std::uint64_t>(total));
     record.set("session_budget", static_cast<std::uint64_t>(budget_sessions));
     record.set("resident_peak", static_cast<std::uint64_t>(resident_peak));
@@ -412,10 +381,6 @@ int main(int argc, char** argv) {
     record.set("rss_at_end_bytes", rss_at_end);
     record.set("rss_flat_ratio", rss_flat_ratio);
     record.set("fence_alerts", static_cast<std::uint64_t>(reference.size()));
-    if (single_cpu) {
-      record.set("caveat", "1 hardware thread: decode ratio reflects "
-                           "copy/allocation avoidance only");
-    }
     if (record.append_to(*json_path)) {
       std::printf("result record appended to %s\n", json_path->c_str());
     } else {

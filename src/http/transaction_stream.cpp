@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 
 #include "http/parser.h"
 #include "net/packet.h"
@@ -18,8 +19,9 @@ namespace {
 /// Decode runs before sessionization, so its trace events are process-scope
 /// (session 0); per-flow parse spans carry fnv1a(client) in `arg` instead,
 /// which is how the trace-reconstruction fence links an alert back to the
-/// flow that fed it.  A nested install (the pcap-file wrappers install one
-/// around transactions_from_pcap's own) chains parents instead of stacking.
+/// flow that fed it.  A nested install (transactions_from_pcap_file installs
+/// one around transactions_from_pcap's own) chains parents instead of
+/// stacking.
 std::optional<dm::obs::TraceContext> decode_trace_context() {
   auto& sink = dm::obs::trace_sink();
   if (!sink.enabled()) return std::nullopt;
@@ -32,9 +34,8 @@ std::optional<dm::obs::TraceContext> decode_trace_context() {
 }
 
 /// Shared reconstruction over any capture whose packets expose ts_micros +
-/// data (owned PcapFile or zero-copy PcapFileView).  One implementation
-/// keeps the copying and mmap pipelines semantically identical — the
-/// differential fence in net_pcap_mmap_test leans on that.
+/// data: an owned PcapFile (synthesized or fault-injected) or a zero-copy
+/// PcapFileView (decoded).
 template <typename Capture>
 std::vector<HttpTransaction> reconstruct_transactions(
     const Capture& capture, dm::util::FaultStats* faults) {
@@ -94,34 +95,7 @@ std::vector<HttpTransaction> transactions_from_pcap(
   return reconstruct_transactions(capture, faults);
 }
 
-std::vector<HttpTransaction> transactions_from_pcap_file(const std::string& path) {
-  auto tctx = decode_trace_context();
-  dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
-  auto span = dm::obs::StageTimer{}.span(
-      dm::obs::pipeline_metrics().stage_pcap_decode_ns);
-  dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
-  auto capture = dm::net::read_pcap_file(path);
-  tspan.set_arg(capture.packets.size());
-  tspan.end();
-  span.stop();
-  return transactions_from_pcap(capture);
-}
-
 std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path, dm::util::FaultStats* faults) {
-  auto tctx = decode_trace_context();
-  dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
-  auto span = dm::obs::StageTimer{}.span(
-      dm::obs::pipeline_metrics().stage_pcap_decode_ns);
-  dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
-  const auto decoded = dm::net::decode_pcap_file(path, {}, faults);
-  tspan.set_arg(decoded.file.packets.size());
-  tspan.end();
-  span.stop();
-  return transactions_from_pcap(decoded.file, faults);
-}
-
-std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
     const std::string& path, dm::util::FaultStats* faults) {
   auto tctx = decode_trace_context();
   dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
@@ -130,7 +104,11 @@ std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
   dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
   // Map + decode views in place: packet bytes stay in the page cache, the
   // decode stage only materializes 16-byte views per record.
-  dm::net::MappedPcap capture(path, {}, faults);
+  const dm::net::MappedPcap capture(path, {}, faults);
+  if (capture.result().fatal) {
+    throw std::runtime_error("pcap: " + path + ": " +
+                             capture.result().errors.front().to_string());
+  }
   tspan.set_arg(capture.file().packets.size());
   tspan.end();
   span.stop();

@@ -7,6 +7,7 @@
 // util::FaultStats while every salvageable transaction still comes out.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "http/message.h"
@@ -32,20 +33,12 @@ std::vector<HttpTransaction> transactions_from_pcap(
     const dm::net::PcapFileView& capture,
     dm::util::FaultStats* faults = nullptr);
 
-/// Convenience file-path overload (throws on I/O error).  With `faults`,
-/// capture-file decode faults are quarantined and counted instead of
-/// thrown; without, a fatally-malformed capture header still throws
-/// (legacy read_pcap_file semantics).
+/// Reads a capture file through net::MappedPcap, reconstructs it, and drops
+/// the mapping before returning (DESIGN.md §15 lifetime rule).  Throws
+/// std::runtime_error on I/O error and on a fatal global header (bad magic,
+/// fewer than 24 bytes); record-level decode faults are quarantined and,
+/// with `faults`, counted.
 std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path);
-std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path, dm::util::FaultStats* faults);
-
-/// mmap-backed zero-copy file path: maps the capture, decodes views in
-/// place, reconstructs, and drops the mapping before returning (DESIGN.md
-/// §15 lifetime rule).  Fault semantics match the faults-taking
-/// transactions_from_pcap_file; throws only on I/O/mapping errors.
-std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
     const std::string& path, dm::util::FaultStats* faults = nullptr);
 
 }  // namespace dm::http

@@ -62,7 +62,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void quarantine(PcapViewDecodeResult& result, dm::util::FaultStats* faults,
+void quarantine(PcapDecodeResult& result, dm::util::FaultStats* faults,
                 DecodeError error) {
   if (faults) faults->record(error);
   static dm::util::EveryN gate(256);
@@ -93,10 +93,10 @@ std::vector<std::uint8_t> write_pcap(const PcapFile& file) {
   return out;
 }
 
-PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
-                                      const PcapDecodeOptions& options,
-                                      dm::util::FaultStats* faults) {
-  PcapViewDecodeResult result;
+PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
+                             const PcapDecodeOptions& options,
+                             dm::util::FaultStats* faults) {
+  PcapDecodeResult result;
   if (bytes.size() < kGlobalHeaderSize) {
     result.fatal = true;
     quarantine(result, faults,
@@ -168,8 +168,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
       }
       return result;
     }
-    // Zero-copy: the packet is a slice of the input buffer, not an owned
-    // copy.  decode_pcap() below deep-copies for callers that need ownership.
+    // Zero-copy: the packet is a slice of the input buffer, not a copy.
     result.file.packets.push_back(
         {ts_micros, std::span<const std::uint8_t>(r.cursor(), incl_len)});
     r.skip(incl_len);
@@ -190,50 +189,16 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
   return result;
 }
 
-PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
-                             const PcapDecodeOptions& options,
-                             dm::util::FaultStats* faults) {
-  // One parser: decode as views, then deep-copy into owned buffers.  Any
-  // future parsing change lands in decode_pcap_view and both readers see it.
-  PcapViewDecodeResult views = decode_pcap_view(bytes, options, faults);
-  PcapDecodeResult result;
-  result.file.link_type = views.file.link_type;
-  result.file.packets.reserve(views.file.packets.size());
-  for (const auto& pkt : views.file.packets) {
-    result.file.packets.push_back(
-        {pkt.ts_micros,
-         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
-  }
-  result.quarantined.reserve(views.quarantined.size());
-  for (const auto& pkt : views.quarantined) {
-    result.quarantined.push_back(
-        {pkt.ts_micros,
-         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
-  }
-  result.errors = std::move(views.errors);
-  result.truncated_tail = views.truncated_tail;
-  result.fatal = views.fatal;
-  return result;
-}
-
-dm::util::Expected<PcapFile> parse_pcap(std::span<const std::uint8_t> bytes,
-                                        dm::util::FaultStats* faults) {
-  PcapDecodeResult result = decode_pcap(bytes, {}, faults);
-  if (result.fatal) return result.errors.front();
-  return std::move(result.file);
-}
-
 PcapFile quarantine_capture(const PcapDecodeResult& result) {
   PcapFile capture;
   capture.link_type = result.file.link_type;
-  capture.packets = result.quarantined;
+  capture.packets.reserve(result.quarantined.size());
+  for (const auto& pkt : result.quarantined) {
+    capture.packets.push_back(
+        {pkt.ts_micros,
+         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
+  }
   return capture;
-}
-
-PcapFile read_pcap(const std::vector<std::uint8_t>& bytes) {
-  auto parsed = parse_pcap(bytes);
-  if (!parsed) throw std::runtime_error("pcap: " + parsed.error().to_string());
-  return std::move(*parsed);
 }
 
 void write_pcap_file(const std::string& path, const PcapFile& file) {
@@ -243,24 +208,6 @@ void write_pcap_file(const std::string& path, const PcapFile& file) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("pcap: write failed: " + path);
-}
-
-PcapFile read_pcap_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return read_pcap(bytes);
-}
-
-PcapDecodeResult decode_pcap_file(const std::string& path,
-                                  const PcapDecodeOptions& options,
-                                  dm::util::FaultStats* faults) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return decode_pcap(bytes, options, faults);
 }
 
 }  // namespace dm::net

@@ -12,9 +12,9 @@
 // bytes.  A bad record is quarantined — described by a util::DecodeError,
 // counted in util::FaultStats, optionally retained for a forensic
 // quarantine capture — and iteration continues with whatever can still be
-// salvaged.  Only file-level I/O keeps throwing (read_pcap_file /
-// write_pcap_file), per the repo convention: exceptions for environment
-// errors, structured errors for wire data.
+// salvaged.  Only file-level I/O throws (MappedPcap / write_pcap_file), per
+// the repo convention: exceptions for environment errors, structured errors
+// for wire data.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ struct PcapFile {
 
 /// One captured frame as a zero-copy slice of the caller's buffer.
 /// Lifetime rule: the slice must not outlive the buffer that was decoded —
-/// for mmap-backed captures that buffer is the mapping (see MappedPcap in
+/// for capture files that buffer is the mapping (see MappedPcap in
 /// pcap_mmap.h), and DESIGN.md §15 spells out who may hold slices when.
 struct PcapPacketView {
   std::uint64_t ts_micros = 0;  // absolute time in microseconds
@@ -57,6 +57,10 @@ struct PcapFileView {
 /// Serializes packets into pcap bytes (little-endian, usec resolution).
 std::vector<std::uint8_t> write_pcap(const PcapFile& file);
 
+/// Writes write_pcap(file) to `path`.  Throws std::runtime_error on I/O
+/// error.  Capture files are read through MappedPcap (net/pcap_mmap.h).
+void write_pcap_file(const std::string& path, const PcapFile& file);
+
 struct PcapDecodeOptions {
   /// Records claiming more than this many bytes are treated as corrupt
   /// length fields (quarantined, iteration stops — a broken length prefix
@@ -69,14 +73,16 @@ struct PcapDecodeOptions {
 };
 
 /// Outcome of a best-effort decode: the salvaged packets plus a precise
-/// account of everything that was quarantined.
+/// account of everything that was quarantined.  Packets and quarantined
+/// records are spans into the decoded bytes (see the PcapPacketView lifetime
+/// rule).
 struct PcapDecodeResult {
-  PcapFile file;
+  PcapFileView file;
   /// One entry per quarantined fault, in input order.
   std::vector<dm::util::DecodeError> errors;
-  /// Raw bytes of quarantined records (only with keep_quarantined); the
+  /// Slices of quarantined records (only with keep_quarantined); the
   /// timestamp is the record's own if its header was readable.
-  std::vector<PcapPacket> quarantined;
+  std::vector<PcapPacketView> quarantined;
   /// The capture ended mid-record: the salvaged prefix is complete but the
   /// final record was cut (satellite of the §V-B robustness requirement —
   /// a truncated tail must not discard the parsed prefix).
@@ -86,56 +92,16 @@ struct PcapDecodeResult {
   bool fatal = false;
 };
 
-/// Zero-copy variant: packets (and quarantined records) are spans into
-/// `bytes`.  Every other decode entry point is a wrapper over this one, so
-/// the copying and zero-copy paths can never diverge on parsing semantics —
-/// the owning reader stays usable as the differential fence for the mmap
-/// path (net_pcap_mmap_test).
-struct PcapViewDecodeResult {
-  PcapFileView file;
-  /// One entry per quarantined fault, in input order.
-  std::vector<dm::util::DecodeError> errors;
-  /// Slices of quarantined records (only with keep_quarantined).
-  std::vector<PcapPacketView> quarantined;
-  bool truncated_tail = false;
-  bool fatal = false;
-};
-
 /// Best-effort zero-copy decode.  Never throws on malformed input; every
 /// fault is appended to `errors` and (when given) counted in `faults`.  The
-/// result aliases `bytes` (see PcapPacketView lifetime rule).
-PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
-                                      const PcapDecodeOptions& options = {},
-                                      dm::util::FaultStats* faults = nullptr);
-
-/// Best-effort decode.  Never throws on malformed input; every fault is
-/// appended to `errors` and (when given) counted in `faults`.
+/// result aliases `bytes`: decode a named buffer, never a temporary.
 PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
                              const PcapDecodeOptions& options = {},
                              dm::util::FaultStats* faults = nullptr);
 
-/// Header-validating decode for callers that need value-or-error: a fatal
-/// header fault becomes the DecodeError, anything else the salvaged file.
-dm::util::Expected<PcapFile> parse_pcap(std::span<const std::uint8_t> bytes,
-                                        dm::util::FaultStats* faults = nullptr);
-
 /// Re-wraps the quarantined records of a decode into a capture of their own
-/// (forensic dump; write with write_pcap / write_pcap_file).
+/// (forensic dump; write with write_pcap / write_pcap_file).  The one place
+/// decoded bytes are copied.
 PcapFile quarantine_capture(const PcapDecodeResult& result);
-
-/// Legacy strict reader.  Throws std::runtime_error only on a fatal header
-/// fault (bad magic, truncated global header); malformed records are
-/// quarantined silently and the salvaged prefix is returned.
-PcapFile read_pcap(const std::vector<std::uint8_t>& bytes);
-
-/// File-system convenience wrappers.  Throw std::runtime_error on I/O error.
-void write_pcap_file(const std::string& path, const PcapFile& file);
-PcapFile read_pcap_file(const std::string& path);
-
-/// Reads a capture file fault-tolerantly: throws only on I/O errors; decode
-/// faults are quarantined into the result / `faults`.
-PcapDecodeResult decode_pcap_file(const std::string& path,
-                                  const PcapDecodeOptions& options = {},
-                                  dm::util::FaultStats* faults = nullptr);
 
 }  // namespace dm::net

@@ -1,27 +1,44 @@
 #include "net/pcap_mmap.h"
 
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DM_HAVE_MMAP 1
+#include <cerrno>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #else
 #define DM_HAVE_MMAP 0
+#include <fstream>
 #endif
 
 namespace dm::net {
 namespace {
 
+#if DM_HAVE_MMAP
+/// Appends everything left in `fd` to `out`; false on a read error.  Works
+/// on what mmap cannot take: a FIFO must be read through the descriptor
+/// already open on it, since reopening by path would lose whatever the
+/// writer has sent.
+bool read_to_eof(int fd, std::vector<std::uint8_t>& out) {
+  std::uint8_t chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n == 0) return true;
+    if (n < 0 && errno != EINTR) return false;
+    if (n > 0) out.insert(out.end(), chunk, chunk + n);
+  }
+}
+#else
 std::vector<std::uint8_t> read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
+#endif
 
 }  // namespace
 
@@ -35,26 +52,28 @@ MappedFile::MappedFile(const std::string& path) {
     throw std::runtime_error("pcap: cannot stat: " + path);
   }
   const auto file_size = static_cast<std::size_t>(st.st_size);
-  if (file_size == 0) {
-    // mmap rejects zero-length mappings; an empty capture is just an empty
-    // span (the decoder quarantines it as a truncated global header).
-    ::close(fd);
-    return;
-  }
-  void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference to the file
-  if (map != MAP_FAILED) {
+  // mmap rejects zero-length mappings, and a non-regular file reports no
+  // usable size: both are read through the descriptor below.
+  if (S_ISREG(st.st_mode) && file_size > 0) {
+    void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::close(fd);  // the mapping keeps its own reference to the file
 #if defined(POSIX_MADV_SEQUENTIAL)
-    ::posix_madvise(map, file_size, POSIX_MADV_SEQUENTIAL);
+      ::posix_madvise(map, file_size, POSIX_MADV_SEQUENTIAL);
 #endif
-    data_ = static_cast<const std::uint8_t*>(map);
-    size_ = file_size;
-    mapped_ = true;
-    return;
+      data_ = static_cast<const std::uint8_t*>(map);
+      size_ = file_size;
+      mapped_ = true;
+      return;
+    }
+    // mmap can fail on exotic filesystems; read the bytes instead.
   }
-  // mmap can fail on exotic filesystems; fall through to the owned buffer.
-#endif
+  const bool read_ok = read_to_eof(fd, fallback_);
+  ::close(fd);
+  if (!read_ok) throw std::runtime_error("pcap: read failed: " + path);
+#else
   fallback_ = read_whole_file(path);
+#endif
   data_ = fallback_.data();
   size_ = fallback_.size();
 }
@@ -104,6 +123,6 @@ MappedPcap::MappedPcap(const std::string& path,
                        const PcapDecodeOptions& options,
                        dm::util::FaultStats* faults)
     : mapping_(path),
-      result_(decode_pcap_view(mapping_.bytes(), options, faults)) {}
+      result_(decode_pcap(mapping_.bytes(), options, faults)) {}
 
 }  // namespace dm::net

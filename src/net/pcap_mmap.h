@@ -1,18 +1,19 @@
-// mmap-backed zero-copy capture reading (DESIGN.md §15).
+// The one way to read a capture file (DESIGN.md §15).
 //
 // MappedFile maps a file read-only and hands out one std::span over the
-// mapping; MappedPcap couples a mapping with a decode_pcap_view() result so
-// the packet slices and the bytes they alias share one owner.  Lifetime
-// rule: NO slice — packet view, quarantined view, TCP payload string_view
-// derived from one — may outlive the MappedPcap that produced it.  The safe
-// pattern (the only one the pipelines use) is: decode, reconstruct
-// transactions (HttpTransaction owns all of its strings), drop the mapping.
+// mapping; MappedPcap couples a mapping with a decode_pcap() result so the
+// packet slices and the bytes they alias share one owner.  Lifetime rule:
+// NO slice — packet view, quarantined view, TCP payload string_view derived
+// from one — may outlive the MappedPcap that produced it.  The safe pattern
+// (the only one the pipelines use) is: decode, reconstruct transactions
+// (HttpTransaction owns all of its strings), drop the mapping.
 //
 // Per the repo convention, opening/mapping a file throws on I/O error;
 // malformed capture *bytes* never throw — they quarantine through the
-// shared view decoder.  On platforms without mmap (or when mmap fails, e.g.
-// on a pipe), MappedFile silently falls back to reading the file into an
-// owned buffer: callers get the same span-of-bytes interface either way.
+// decoder.  What cannot be mapped — a pipe or FIFO (e.g. a shell's
+// `<(...)`), a character device, a platform without mmap, a filesystem
+// where mmap fails — is read from the open descriptor into an owned
+// buffer: callers get the same span-of-bytes interface either way.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,8 @@
 namespace dm::net {
 
 /// Read-only file mapping (move-only RAII).  Throws std::runtime_error on
-/// open/stat/read failure; falls back to an owned read buffer if mmap
-/// itself is unavailable.
+/// open/stat/read failure; reads into an owned buffer whatever it cannot
+/// map.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path);
@@ -42,8 +43,8 @@ class MappedFile {
     return {data_, size_};
   }
   std::size_t size() const noexcept { return size_; }
-  /// False when the mmap fallback engaged and bytes() points at an owned
-  /// heap buffer instead of a mapping (behaviourally identical, just copies).
+  /// False when bytes() points at an owned heap buffer instead of a mapping
+  /// (a non-regular file or a failed mmap; behaviourally identical).
   bool mapped() const noexcept { return mapped_; }
 
  private:
@@ -69,14 +70,14 @@ class MappedPcap {
   MappedPcap& operator=(const MappedPcap&) = delete;
 
   const PcapFileView& file() const noexcept { return result_.file; }
-  const PcapViewDecodeResult& result() const noexcept { return result_; }
+  const PcapDecodeResult& result() const noexcept { return result_; }
   const MappedFile& mapping() const noexcept { return mapping_; }
 
  private:
   // Declaration order matters: result_'s spans alias mapping_, so the
   // mapping must be constructed first and destroyed last.
   MappedFile mapping_;
-  PcapViewDecodeResult result_;
+  PcapDecodeResult result_;
 };
 
 }  // namespace dm::net

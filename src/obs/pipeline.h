@@ -9,8 +9,6 @@
 //                 dm.detect.clue_to_verdict_ns latency
 //   dm.runtime.*  sharded-engine throughput/shed counters (callback-sourced
 //                 from runtime::Stats) and dispatcher/queue/worker timing
-//   dm.ingest.*   parallel-ingest reconstruction timing
-//   dm.fault.*    decode-fault counters folded from util::FaultStats
 //   dm.train.*    Stage-1 training: per-tree build / per-WCG extract /
 //                 per-CV-fold latency + throughput counters (handles live
 //                 in ml::TrainerMetrics, see ml/parallel_trainer.h)
@@ -32,7 +30,6 @@
 #pragma once
 
 #include "obs/metrics.h"
-#include "util/fault_stats.h"
 
 namespace dm::obs {
 
@@ -63,7 +60,6 @@ struct PipelineMetrics {
   Histogram& runtime_dispatch_ns;      // dispatcher: batch handoff (incl. backpressure)
   Histogram& runtime_queue_wait_ns;    // batch enqueue -> worker pop
   Histogram& runtime_worker_batch_ns;  // worker: one batch through the detector
-  Histogram& ingest_reconstruct_ns;    // parallel ingest: one capture file
 
   /// Resolves (creating on first use) every handle in `reg`.  Cold path —
   /// call once per component, keep the result.
@@ -177,11 +173,5 @@ struct OracleMetrics {
 
 /// dm.oracle.* handles into the process-wide registry.
 OracleMetrics& oracle_metrics();
-
-/// Folds one completed run's decode-fault counts into `reg`'s
-/// `dm.fault.<layer/name>` counters (additive — call once per finished
-/// FaultStats, not per snapshot).
-void record_fault_counts(const dm::util::FaultStatsSnapshot& faults,
-                         MetricsRegistry& reg = registry());
 
 }  // namespace dm::obs

@@ -6,9 +6,9 @@
 // Two families:
 //  * byte-level mutators over serialized pcap bytes (pcap-layer faults:
 //    corruption, truncation, broken length prefixes, cut record headers),
-//  * frame-level mutators over a decoded net::PcapFile (frame/TCP-layer
+//  * frame-level mutators over an owned net::PcapFile (frame/TCP-layer
 //    faults: undecodable ethertype, duplicate and overlapping segments,
-//    record reorder, mid-stream EOF).
+//    record reorder, mid-stream EOF); owned_copy() turns a decode into one.
 #pragma once
 
 #include <algorithm>
@@ -133,6 +133,20 @@ inline std::size_t cut_record_header(std::vector<std::uint8_t>& bytes,
 // ---------------------------------------------------------------------------
 // Frame-level mutators (operate on a decoded capture).
 // ---------------------------------------------------------------------------
+
+/// Owned copy of a decoded capture, for callers that go on to mutate its
+/// packets (decode_pcap hands out views into the decoded bytes).
+inline dm::net::PcapFile owned_copy(const dm::net::PcapFileView& view) {
+  dm::net::PcapFile capture;
+  capture.link_type = view.link_type;
+  capture.packets.reserve(view.packets.size());
+  for (const auto& pkt : view.packets) {
+    capture.packets.push_back(
+        {pkt.ts_micros,
+         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
+  }
+  return capture;
+}
 
 /// Offset of the TCP sequence-number field inside an Ethernet/IPv4/TCP
 /// frame, or 0 if the frame does not decode as one.

@@ -14,6 +14,7 @@
 // Runs in the `fault` ctest label (re-run instrumented via DM_SANITIZE).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -101,9 +102,6 @@ TEST(PcapFaultTest, TruncatedFinalRecordSalvagesPrefixAndCountsOnce) {
   EXPECT_EQ(result.errors[0].code, DecodeErrorCode::kPcapTruncatedRecord);
   EXPECT_EQ(faults.count(DecodeErrorCode::kPcapTruncatedRecord), 1u);
   EXPECT_EQ(faults.total(), 1u);
-
-  // The legacy strict reader must salvage the same prefix, not throw.
-  EXPECT_EQ(dm::net::read_pcap(bytes).packets.size(), records.size() - 1);
 }
 
 TEST(PcapFaultTest, OversizedRecordLengthQuarantinesOnceAndStops) {
@@ -155,7 +153,8 @@ TEST(PcapFaultTest, QuarantinedRecordsRoundTripAsForensicCapture) {
   const auto redecoded = dm::net::decode_pcap(dump);
   EXPECT_TRUE(redecoded.errors.empty());
   ASSERT_EQ(redecoded.file.packets.size(), 1u);
-  EXPECT_EQ(redecoded.file.packets[0].data, result.quarantined[0].data);
+  EXPECT_TRUE(std::ranges::equal(redecoded.file.packets[0].data,
+                                 result.quarantined[0].data));
 }
 
 TEST(PcapFaultTest, RandomCorruptionAccountsEveryErrorInFaultStats) {
@@ -438,11 +437,13 @@ TEST(EndToEndFaultTest, MutationMatrixNeverCrashesThePipeline) {
       if (mutator == 0) {  // byte corruption
         auto bytes = clean_bytes;
         dm::faultinject::corrupt_random_bytes(bytes, 80, rng);
-        capture = dm::net::decode_pcap(bytes, {}, &faults).file;
+        capture = dm::faultinject::owned_copy(
+            dm::net::decode_pcap(bytes, {}, &faults).file);
       } else if (mutator == 1) {  // truncation
         auto bytes = clean_bytes;
         dm::faultinject::truncate_final_record(bytes, rng);
-        capture = dm::net::decode_pcap(bytes, {}, &faults).file;
+        capture = dm::faultinject::owned_copy(
+            dm::net::decode_pcap(bytes, {}, &faults).file);
       } else {
         capture = clean;
         if (mutator == 2) dm::faultinject::reorder_records(capture, rng);

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
+#include "http/transaction_stream.h"
+#include "net/pcap_mmap.h"
+#include "util/expected.h"
+
 namespace dm::net {
 namespace {
+
+using dm::util::DecodeErrorCode;
 
 PcapFile sample_file() {
   PcapFile file;
@@ -19,12 +26,15 @@ PcapFile sample_file() {
 TEST(PcapTest, WriteReadRoundTrip) {
   const auto original = sample_file();
   const auto bytes = write_pcap(original);
-  const auto parsed = read_pcap(bytes);
-  EXPECT_EQ(parsed.link_type, 1u);
-  ASSERT_EQ(parsed.packets.size(), 3u);
+  const auto parsed = decode_pcap(bytes);
+  EXPECT_FALSE(parsed.fatal);
+  EXPECT_TRUE(parsed.errors.empty());
+  EXPECT_EQ(parsed.file.link_type, 1u);
+  ASSERT_EQ(parsed.file.packets.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(parsed.packets[i].ts_micros, original.packets[i].ts_micros);
-    EXPECT_EQ(parsed.packets[i].data, original.packets[i].data);
+    EXPECT_EQ(parsed.file.packets[i].ts_micros, original.packets[i].ts_micros);
+    EXPECT_TRUE(std::ranges::equal(parsed.file.packets[i].data,
+                                   original.packets[i].data));
   }
 }
 
@@ -42,20 +52,30 @@ TEST(PcapTest, GlobalHeaderFields) {
 }
 
 TEST(PcapTest, RejectsBadMagic) {
-  std::vector<std::uint8_t> bytes(24, 0);
-  EXPECT_THROW(read_pcap(bytes), std::runtime_error);
+  const std::vector<std::uint8_t> bytes(24, 0);
+  const auto parsed = decode_pcap(bytes);
+  EXPECT_TRUE(parsed.fatal);
+  ASSERT_EQ(parsed.errors.size(), 1u);
+  EXPECT_EQ(parsed.errors[0].code, DecodeErrorCode::kPcapBadMagic);
+  EXPECT_TRUE(parsed.file.packets.empty());
 }
 
 TEST(PcapTest, RejectsTruncatedHeader) {
-  std::vector<std::uint8_t> bytes(10, 0);
-  EXPECT_THROW(read_pcap(bytes), std::runtime_error);
+  const std::vector<std::uint8_t> bytes(10, 0);
+  const auto parsed = decode_pcap(bytes);
+  EXPECT_TRUE(parsed.fatal);
+  ASSERT_EQ(parsed.errors.size(), 1u);
+  EXPECT_EQ(parsed.errors[0].code, DecodeErrorCode::kPcapTruncatedHeader);
+  EXPECT_TRUE(parsed.file.packets.empty());
 }
 
 TEST(PcapTest, DropsTruncatedFinalRecord) {
   auto bytes = write_pcap(sample_file());
   bytes.pop_back();  // truncate the last packet's data
-  const auto parsed = read_pcap(bytes);
-  EXPECT_EQ(parsed.packets.size(), 2u);
+  const auto parsed = decode_pcap(bytes);
+  EXPECT_FALSE(parsed.fatal);
+  EXPECT_TRUE(parsed.truncated_tail);
+  EXPECT_EQ(parsed.file.packets.size(), 2u);
 }
 
 TEST(PcapTest, ReadsNanosecondMagic) {
@@ -65,25 +85,70 @@ TEST(PcapTest, ReadsNanosecondMagic) {
   bytes[1] = 0x3c;
   bytes[2] = 0xb2;
   bytes[3] = 0xa1;
-  const auto parsed = read_pcap(bytes);
-  ASSERT_EQ(parsed.packets.size(), 3u);
+  const auto parsed = decode_pcap(bytes);
+  ASSERT_EQ(parsed.file.packets.size(), 3u);
   // Fractional part now interpreted as nanoseconds: 0 usec becomes 0,
   // 500000 "ns" -> 500 us.
-  EXPECT_EQ(parsed.packets[0].ts_micros, 1000000u);
-  EXPECT_EQ(parsed.packets[1].ts_micros, 2000500u);
+  EXPECT_EQ(parsed.file.packets[0].ts_micros, 1000000u);
+  EXPECT_EQ(parsed.file.packets[1].ts_micros, 2000500u);
 }
+
+/// Writes `bytes` verbatim to a test temp file; removed on destruction.
+class TempFile {
+ public:
+  TempFile(const std::string& name, const std::vector<std::uint8_t>& bytes)
+      : path_(::testing::TempDir() + "/" + name) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return;
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+  ~TempFile() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 TEST(PcapTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/dm_pcap_test.pcap";
   const auto original = sample_file();
   write_pcap_file(path, original);
-  const auto parsed = read_pcap_file(path);
-  EXPECT_EQ(parsed.packets.size(), original.packets.size());
+  {
+    const MappedPcap parsed(path);
+    EXPECT_FALSE(parsed.result().fatal);
+    ASSERT_EQ(parsed.file().packets.size(), original.packets.size());
+    for (std::size_t i = 0; i < original.packets.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(parsed.file().packets[i].data,
+                                     original.packets[i].data));
+    }
+  }
+  // None of the sample frames is TCP, so no transaction comes out, but the
+  // file entry point reads it without throwing.
+  EXPECT_TRUE(dm::http::transactions_from_pcap_file(path).empty());
   std::remove(path.c_str());
 }
 
+TEST(PcapTest, FileEntryPointThrowsOnFatalHeader) {
+  const TempFile bad_magic("dm_pcap_test_bad_magic.pcap",
+                           std::vector<std::uint8_t>(24, 0));
+  EXPECT_THROW(dm::http::transactions_from_pcap_file(bad_magic.path()),
+               std::runtime_error);
+  const TempFile short_header("dm_pcap_test_short.pcap",
+                              std::vector<std::uint8_t>(10, 0));
+  EXPECT_THROW(dm::http::transactions_from_pcap_file(short_header.path()),
+               std::runtime_error);
+  // A cut final record is not fatal: the file entry point salvages.
+  auto cut = write_pcap(sample_file());
+  cut.pop_back();
+  const TempFile truncated("dm_pcap_test_truncated.pcap", cut);
+  EXPECT_NO_THROW(dm::http::transactions_from_pcap_file(truncated.path()));
+}
+
 TEST(PcapTest, MissingFileThrows) {
-  EXPECT_THROW(read_pcap_file("/nonexistent/definitely/missing.pcap"),
+  EXPECT_THROW(dm::http::transactions_from_pcap_file(
+                   "/nonexistent/definitely/missing.pcap"),
                std::runtime_error);
 }
 
@@ -91,8 +156,10 @@ TEST(PcapTest, LargeTimestampPreserved) {
   PcapFile file;
   const std::uint64_t ts = 1467849600ULL * 1000000 + 123456;  // 2016-07-07
   file.packets.push_back({ts, {0x00}});
-  const auto parsed = read_pcap(write_pcap(file));
-  EXPECT_EQ(parsed.packets[0].ts_micros, ts);
+  const auto bytes = write_pcap(file);
+  const auto parsed = decode_pcap(bytes);
+  ASSERT_EQ(parsed.file.packets.size(), 1u);
+  EXPECT_EQ(parsed.file.packets[0].ts_micros, ts);
 }
 
 }  // namespace

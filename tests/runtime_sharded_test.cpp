@@ -12,10 +12,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
-#include "runtime/parallel_ingest.h"
 #include "synth/dataset.h"
 #include "synth/pcap_export.h"
 
@@ -243,21 +243,10 @@ TEST(ShardedOnlineEngineTest, FinishIsIdempotentAndImpliedByDestructor) {
   // builds) — covered in fault_injection_test.
 }
 
-TEST(ParallelIngestTest, DetectTransactionsMatchesSequential) {
-  const auto stream = mixed_trace(/*seed=*/781, /*benign=*/40, /*infections=*/8);
-  const auto expected = sorted_keys(run_sequential(stream));
-  ShardedOptions options;
-  options.num_shards = 4;
-  options.online = online_options();
-  const auto result = detect_transactions(stream, shared_detector(), options);
-  EXPECT_EQ(result.transactions, stream.size());
-  EXPECT_EQ(sorted_keys(result.alerts), expected);
-  EXPECT_EQ(result.online.transactions_seen, stream.size());
-}
-
-TEST(ParallelIngestTest, PcapFilesRoundTripThroughShardedDetection) {
-  // Episodes -> real pcap files -> parallel Stage-1 reconstruction ->
-  // sharded Stage-2; the infection episodes must still raise alerts.
+TEST(ShardedPcapTest, PcapFilesRoundTripThroughShardedDetection) {
+  // Episodes -> real pcap files -> Stage-1 reconstruction -> sharded
+  // Stage-2; the infection episodes must still raise alerts, and the same
+  // ones the sequential detector raises.
   dm::synth::TraceGenerator gen(900);
   const auto dir = std::filesystem::temp_directory_path() / "dm_runtime_ingest";
   std::filesystem::create_directories(dir);
@@ -273,36 +262,35 @@ TEST(ParallelIngestTest, PcapFilesRoundTripThroughShardedDetection) {
   write_episode(gen.infection(dm::synth::family_by_name("Angler")));
   write_episode(gen.infection(dm::synth::family_by_name("Neutrino")));
 
-  IngestOptions options;
-  options.sharded.num_shards = 4;
-  options.sharded.online = online_options();
-  options.ingest_workers = 3;
-  const auto result = detect_pcap_files(paths, shared_detector(), options);
-  EXPECT_GT(result.transactions, 0u);
-  EXPECT_EQ(result.online.transactions_seen, result.transactions);
-
-  // Reference: the same captures through the sequential path.
   std::vector<HttpTransaction> merged;
   for (const auto& path : paths) {
     auto txns = dm::http::transactions_from_pcap_file(path);
     merged.insert(merged.end(), std::make_move_iterator(txns.begin()),
                   std::make_move_iterator(txns.end()));
   }
+  std::filesystem::remove_all(dir);
   std::stable_sort(merged.begin(), merged.end(),
                    [](const HttpTransaction& a, const HttpTransaction& b) {
                      return a.request.ts_micros < b.request.ts_micros;
                    });
-  EXPECT_EQ(sorted_keys(result.alerts), sorted_keys(run_sequential(merged)));
+  ASSERT_FALSE(merged.empty());
 
-  std::filesystem::remove_all(dir);
+  ShardedOptions options;
+  options.num_shards = 4;
+  options.online = online_options();
+  ShardedOnlineEngine engine(shared_detector(), options);
+  for (const auto& txn : merged) engine.observe(txn);
+  engine.finish();
+  EXPECT_EQ(engine.aggregated_stats().transactions_seen, merged.size());
+
+  const auto alerts = sorted_keys(engine.merged_alerts());
+  EXPECT_FALSE(alerts.empty()) << "no alert from the infection captures";
+  EXPECT_EQ(alerts, sorted_keys(run_sequential(merged)));
 }
 
-TEST(ParallelIngestTest, MissingPcapFileReportsAnError) {
-  IngestOptions options;
-  options.sharded.num_shards = 2;
-  EXPECT_THROW(
-      detect_pcap_files({"/nonexistent/never.pcap"}, shared_detector(), options),
-      std::runtime_error);
+TEST(ShardedPcapTest, MissingPcapFileReportsAnError) {
+  EXPECT_THROW(dm::http::transactions_from_pcap_file("/nonexistent/never.pcap"),
+               std::runtime_error);
 }
 
 }  // namespace
