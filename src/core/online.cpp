@@ -22,7 +22,7 @@ using dm::http::PayloadType;
 /// scope maintenance — identical filters are what make the two modes'
 /// scoped WCGs (and hence alerts) bit-identical.
 bool clue_related(const WcgBuilder::Entry& entry,
-                  const std::set<std::string>& suspicious_hosts) {
+                  const HostSet& suspicious_hosts) {
   if (suspicious_hosts.count(entry.txn.server_host) > 0) return true;
   const std::string& host = entry.inputs.referrer_host;
   return !host.empty() && suspicious_hosts.count(host) > 0;
@@ -389,10 +389,10 @@ void OnlineDetector::maintain_scope(Session& session) {
   if (session.scope_suspicious_seen != session.suspicious_hosts.size()) {
     // A host became suspicious retroactively: transactions already rejected
     // may be related now.  Refilter from the start — the only O(n) event,
-    // and it happens at most once per new implicated host.  The fresh
-    // scoped builder shares the session's entries, so a rescan copies
-    // pointers, not transactions, and pins no bytes.
-    session.scoped = WcgBuilder(shared_builder_options_);
+    // and it happens at most once per new implicated host.  The cleared
+    // scoped builder keeps its buffers and shares the session's entries,
+    // so a rescan copies pointers, not transactions, and pins no bytes.
+    session.scoped.clear();
     session.scope_consumed = 0;
     session.scope_suspicious_seen = session.suspicious_hosts.size();
     // The rebuilt scoped WCG lives at the same address with a restarted

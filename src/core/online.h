@@ -21,6 +21,8 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/detector.h"
@@ -31,6 +33,7 @@
 #include "obs/pipeline.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "util/hash.h"
 #include "util/rate_limit.h"
 
 namespace dm::core {
@@ -181,6 +184,11 @@ struct OnlineStats {
   std::size_t queries_skipped_unchanged = 0;
 };
 
+/// Host-name set for per-session bookkeeping; membership tests only, never
+/// iterated, so hash order cannot leak into results.
+using HostSet =
+    std::unordered_set<std::string, dm::util::StringHash, std::equal_to<>>;
+
 class OnlineDetector {
  public:
   OnlineDetector(Detector detector, OnlineOptions options = {});
@@ -216,7 +224,7 @@ class OnlineDetector {
     std::string key;
     std::string client;
     WcgBuilder builder;
-    std::set<std::string> hosts;            // hosts seen in this session
+    HostSet hosts;                          // hosts seen in this session
     std::optional<std::string> session_id;  // sticky once discovered
     std::uint64_t last_activity = 0;
     std::uint32_t current_redirect_run = 0;  // consecutive redirect hops
@@ -228,8 +236,8 @@ class OnlineDetector {
     /// candidates.  The potential-infection WCG (§V-B "goes back in time")
     /// is built from the session transactions touching these hosts, so a
     /// malicious flow is not diluted by co-resident benign traffic.
-    std::set<std::string> suspicious_hosts;
-    std::set<std::string> hosts_before_clue;
+    HostSet suspicious_hosts;
+    HostSet hosts_before_clue;
     std::string clue_host;  // host serving the clue download
     dm::http::PayloadType clue_payload = dm::http::PayloadType::kNone;
     /// Clock stamp of the moment the clue fired, and whether the headline
@@ -376,7 +384,9 @@ class OnlineDetector {
   /// clients).  Grows with the number of distinct clients seen; records are
   /// kept when a client's last session leaves, because the ordinal must not
   /// restart.
-  std::map<std::string, ClientSessions, std::less<>> clients_;
+  std::unordered_map<std::string, ClientSessions, dm::util::StringHash,
+                     std::equal_to<>>
+      clients_;
   std::size_t resident_sessions_ = 0;
 };
 

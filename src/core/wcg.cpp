@@ -23,14 +23,14 @@ std::string_view edge_kind_name(EdgeKind kind) noexcept {
 }
 
 dm::graph::NodeId Wcg::add_host(const std::string& host) {
-  if (const auto it = host_index_.find(host); it != host_index_.end()) {
-    return it->second;
-  }
+  const auto id = find_host(host);
+  return id != dm::graph::kInvalidNode ? id : add_node(host);
+}
+
+dm::graph::NodeId Wcg::add_node(std::string_view host) {
   const auto id = graph_.add_node();
-  WcgNode node;
+  WcgNode& node = nodes_.emplace_back();
   node.host = host;
-  nodes_.push_back(std::move(node));
-  host_index_.emplace(host, id);
   ++topology_version_;
   return id;
 }
@@ -50,9 +50,29 @@ bool Wcg::add_uri(dm::graph::NodeId id, const std::string& uri) {
   return true;
 }
 
-dm::graph::NodeId Wcg::find_host(const std::string& host) const noexcept {
-  const auto it = host_index_.find(host);
-  return it == host_index_.end() ? dm::graph::kInvalidNode : it->second;
+dm::graph::NodeId Wcg::find_host(std::string_view host) const noexcept {
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    if (nodes_[id].host == host) return static_cast<dm::graph::NodeId>(id);
+  }
+  return dm::graph::kInvalidNode;
+}
+
+void Wcg::clear() noexcept {
+  graph_.clear();
+  nodes_.clear();
+  edges_.clear();
+  annotations_ = {};
+  victim_ = dm::graph::kInvalidNode;
+  origin_ = dm::graph::kInvalidNode;
+  total_uris_ = 0;
+  total_uri_length_ = 0;
+  topology_version_ = 0;
+}
+
+void Wcg::reserve(std::size_t nodes, std::size_t edges) {
+  graph_.reserve(nodes, edges);
+  nodes_.reserve(nodes);
+  edges_.reserve(edges);
 }
 
 }  // namespace dm::core

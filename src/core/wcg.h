@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -101,8 +102,14 @@ struct WcgAnnotations {
 /// edge attributes are parallel side tables indexed by the graph's ids.
 class Wcg {
  public:
-  /// Adds a node for `host`, or returns the existing one.
+  /// Adds a node for `host`, or returns the existing one.  O(nodes): for
+  /// hand-built graphs and tests; WcgBuilder interns hosts itself and calls
+  /// add_node().
   dm::graph::NodeId add_host(const std::string& host);
+
+  /// Appends a node for `host`.  The caller guarantees that no node has
+  /// that host yet.
+  dm::graph::NodeId add_node(std::string_view host);
 
   /// Adds an annotated edge.
   dm::graph::EdgeId add_edge(dm::graph::NodeId src, dm::graph::NodeId dst,
@@ -115,8 +122,14 @@ class Wcg {
   /// new for that node.
   bool add_uri(dm::graph::NodeId id, const std::string& uri);
 
-  /// Looks up a host's node; kInvalidNode when absent.
-  dm::graph::NodeId find_host(const std::string& host) const noexcept;
+  /// Looks up a host's node; kInvalidNode when absent.  O(nodes).
+  dm::graph::NodeId find_host(std::string_view host) const noexcept;
+
+  /// Empties the graph back to a default-constructed one (topology version
+  /// 0 included), keeping the node and edge tables' capacity.
+  void clear() noexcept;
+  /// Reserves room for `nodes` nodes and `edges` edges.
+  void reserve(std::size_t nodes, std::size_t edges);
 
   const dm::graph::Digraph& graph() const noexcept { return graph_; }
   std::size_t node_count() const noexcept { return graph_.node_count(); }
@@ -167,7 +180,6 @@ class Wcg {
   dm::graph::Digraph graph_;
   std::vector<WcgNode> nodes_;
   std::vector<WcgEdge> edges_;
-  std::map<std::string, dm::graph::NodeId> host_index_;
   WcgAnnotations annotations_;
   dm::graph::NodeId victim_ = dm::graph::kInvalidNode;
   dm::graph::NodeId origin_ = dm::graph::kInvalidNode;

@@ -25,9 +25,10 @@
 //    incremental-vs-rebuild determinism guarantee rests on.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <set>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/wcg.h"
@@ -55,22 +56,36 @@ struct BuilderOptions {
 };
 
 /// What folding one transaction needs beyond the transaction itself: the
-/// payload class of its response and the hosts its response redirects to
+/// payload class of its response, the hosts its response redirects to
 /// (Location, meta, iframe and de-obfuscated JavaScript evidence, in
-/// mining order), plus the referrer's host that the online detector's
-/// grouping and scope rules read.  All are pure functions of the
-/// transaction and the miner options, so they are derived once per
-/// transaction and kept next to it: a re-fold reads them instead of
-/// re-running the miner.
+/// mining order), the referrer's host that the online detector's grouping
+/// and scope rules read, and the request-header facts the graph
+/// annotations count.  All are pure functions of the transaction and the
+/// miner options, so they are derived once per transaction and kept next
+/// to it: a re-fold reads them instead of re-running the miner or
+/// re-scanning headers.
 struct FoldInputs {
   /// classify_payload of the response; kNone without a response.
   dm::http::PayloadType payload = dm::http::PayloadType::kNone;
   /// target_host of each mine_redirects result; empty without a response.
   std::vector<std::string> redirect_hosts;
   /// http::host_of_url of the Referer; empty without one or when it is not
-  /// an absolute URL.  Not the fold's origin rule, which also accepts a
-  /// bare hostname.
+  /// an absolute URL.
   std::string referrer_host;
+  /// A Referer that is a bare hostname (no scheme, no '/'), trimmed and
+  /// lower-cased; set only when referrer_host is empty.  The fold's origin
+  /// rule accepts it, the online detector's grouping does not.
+  std::string bare_referrer_host;
+  bool has_referrer = false;        // a Referer header is present
+  bool do_not_track = false;        // the first DNT header reads "1"
+  bool has_x_flash_version = false; // an X-Flash-Version header is present
+
+  /// The Referer's host as the fold's origin rule reads it: referrer_host,
+  /// else bare_referrer_host; empty when neither applies.
+  std::string_view origin_referrer_host() const noexcept {
+    return referrer_host.empty() ? std::string_view(bare_referrer_host)
+                                 : std::string_view(referrer_host);
+  }
 };
 
 /// Derives `txn`'s fold inputs with the given miner options.
@@ -79,29 +94,78 @@ FoldInputs derive_fold_inputs(const dm::http::HttpTransaction& txn,
 
 namespace detail {
 
-/// Everything the per-transaction fold engine needs, beyond the Wcg itself,
-/// to extend a WCG by one transaction and keep every annotation consistent.
-/// Internal to WcgBuilder; a plain value type so builders stay copyable.
+/// Dense id of a host interned by one builder (see WcgBuildState).
+using HostId = std::uint32_t;
+inline constexpr HostId kNoHost = ~HostId{0};
+
+/// Everything the fold engine keeps besides the Wcg itself.  Internal to
+/// WcgBuilder; a plain value type so builders stay copyable.
+///
+/// Hosts are interned once per builder: every host string a transaction
+/// names (server, Referer host, redirect targets, and the first client) is
+/// looked up once, when the transaction is first folded, and gets a dense
+/// HostId.  The table's keys are views into the stored entries, which are
+/// immutable and shared by every copy of the builder, so interning copies
+/// no string.  Everything the fold tracks per host is a flag or a number
+/// in `hosts`, indexed by HostId; a re-fold resets those in place and
+/// keeps every container's capacity.
 struct WcgBuildState {
+  struct Host {
+    std::string_view name;
+    /// Some interned transaction is served by this host.  Grows with the
+    /// interned prefix, so it survives re-folds.
+    bool conversation = false;
+    /// TrustedVendors verdict, computed the first time the host is a
+    /// redirect target: 0 unknown, 1 trusted, 2 not trusted.
+    std::uint8_t trust = 0;
+    // Per fold; reset_fold() clears them.
+    dm::graph::NodeId node = dm::graph::kInvalidNode;
+    bool exploit = false;       // served an exploit payload
+    bool redirect = false;      // endpoint of a redirect edge
+    bool responded = false;     // last_response_ts is set
+    std::uint64_t last_response_ts = 0;  // for the referrer-timing rule
+  };
+  /// The hosts one stored transaction names, as HostIds.
+  struct EntryHosts {
+    HostId server = kNoHost;
+    HostId referrer = kNoHost;  // FoldInputs::origin_referrer_host
+    /// This entry's redirect targets: redirect_targets[begin, end).
+    std::uint32_t redirects_begin = 0;
+    std::uint32_t redirects_end = 0;
+  };
+
+  // --- Interned hosts; persist across re-folds -------------------------
+  std::unordered_map<std::string_view, HostId> host_ids;
+  std::vector<Host> hosts;
+  std::vector<EntryHosts> entry_hosts;  // one per interned entry
+  std::vector<HostId> redirect_targets;
+  HostId empty_host = kNoHost;   // "empty", the name of an unknown origin
+  HostId victim_host = kNoHost;  // the first transaction's client
+
+  // --- Fold state; reset by every re-fold ------------------------------
   Wcg wcg;
   std::size_t folded = 0;  // transactions folded into `wcg` so far
+  /// Host of each node, indexed by NodeId.
+  std::vector<HostId> node_hosts;
 
   // Download timeline (§III-C stage assignment).  Fixed between re-folds:
   // a transaction that would change it forces a full re-fold instead.
   std::uint64_t first_exploit_ts = 0;  // 0 = none
   std::uint64_t last_exploit_ts = 0;
-  std::set<std::string> exploit_hosts;
 
-  // Origin / victim bookkeeping.
-  std::string origin_name = "empty";
+  /// The origin node's host: the first Referer host outside the
+  /// conversation, else `empty_host`.  `origin_from_referrer` tells the two
+  /// apart even for a Referer host literally named "empty".
+  HostId origin_host = kNoHost;
+  bool origin_from_referrer = false;
   dm::graph::NodeId origin_id = dm::graph::kInvalidNode;
   dm::graph::NodeId victim_id = dm::graph::kInvalidNode;
-  std::set<std::string> conversation_hosts;
 
   // Redirect bookkeeping.
-  std::map<std::string, std::set<std::string>> redirect_adj;
-  std::set<std::string> redirect_hosts;
-  std::set<std::string> redirect_tlds;
+  /// Distinct (from, to) node pairs of redirect edges, sorted.
+  std::vector<std::pair<dm::graph::NodeId, dm::graph::NodeId>> redirect_pairs;
+  /// Distinct non-empty TLDs of redirect endpoints, sorted.
+  std::vector<std::string_view> redirect_tlds;
   /// Redirect timestamps; kept sorted unless `redirect_ts_unsorted`, in
   /// which case finalize() re-sorts and re-accumulates.  The running delay
   /// total accumulates left-to-right exactly like the from-scratch loop so
@@ -117,8 +181,9 @@ struct WcgBuildState {
   double inter_txn_total_s = 0.0;
   bool txn_times_unsorted = false;
 
-  /// Most recent response per host, for the referrer-delay redirect rule.
-  std::map<std::string, std::uint64_t> last_response_ts;
+  /// Index of the last folded entry carrying X-Flash-Version (finalize()
+  /// copies its value into the annotations); npos when none.
+  std::size_t x_flash_entry = static_cast<std::size_t>(-1);
 };
 
 }  // namespace detail
@@ -180,6 +245,10 @@ class WcgBuilder {
   /// Number of full re-folds current() has performed (diagnostics/tests).
   std::uint64_t full_refolds() const noexcept { return full_refolds_; }
 
+  /// Drops every transaction and returns to the freshly constructed state
+  /// (options kept), keeping allocated capacity for the next fold.
+  void clear() noexcept;
+
  private:
   /// True when the pending suffix [state_.folded, n) cannot be folded
   /// incrementally onto state_ without changing already-built structure.
@@ -191,8 +260,9 @@ class WcgBuilder {
   std::uint64_t full_refolds_ = 0;
 };
 
-/// One-shot convenience.
-Wcg build_wcg(std::vector<dm::http::HttpTransaction> transactions,
-              BuilderOptions options = {});
+/// One-shot convenience: the WCG a WcgBuilder fed `transactions` would
+/// build(), folded without copying the transactions.
+Wcg build_wcg(const std::vector<dm::http::HttpTransaction>& transactions,
+              const BuilderOptions& options = {});
 
 }  // namespace dm::core

@@ -5,30 +5,60 @@
 
 namespace dm::graph {
 
-Digraph::Digraph(std::size_t n) : out_(n), in_(n) {}
+Digraph::Digraph(std::size_t n) : out_degree_(n), in_degree_(n) {}
+
+void Digraph::clear() noexcept {
+  edges_.clear();
+  out_degree_.clear();
+  in_degree_.clear();
+}
+
+void Digraph::reserve(std::size_t nodes, std::size_t edges) {
+  edges_.reserve(edges);
+  out_degree_.reserve(nodes);
+  in_degree_.reserve(nodes);
+}
 
 NodeId Digraph::add_node() {
-  out_.emplace_back();
-  in_.emplace_back();
-  return static_cast<NodeId>(out_.size() - 1);
+  out_degree_.push_back(0);
+  in_degree_.push_back(0);
+  return static_cast<NodeId>(out_degree_.size() - 1);
 }
 
 EdgeId Digraph::add_edge(NodeId src, NodeId dst) {
-  if (src >= out_.size() || dst >= out_.size()) {
+  if (src >= node_count() || dst >= node_count()) {
     throw std::out_of_range("Digraph::add_edge: endpoint does not exist");
   }
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back({src, dst});
-  out_[src].push_back(id);
-  in_[dst].push_back(id);
+  ++out_degree_[src];
+  ++in_degree_[dst];
   return id;
 }
 
-bool Digraph::has_edge(NodeId src, NodeId dst) const {
-  for (EdgeId e : out_.at(src)) {
-    if (edges_[e].dst == dst) return true;
+std::vector<EdgeId> Digraph::out_edges(NodeId v) const {
+  std::vector<EdgeId> ids;
+  ids.reserve(out_degree(v));
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    if (edges_[e].src == v) ids.push_back(e);
   }
-  return false;
+  return ids;
+}
+
+std::vector<EdgeId> Digraph::in_edges(NodeId v) const {
+  std::vector<EdgeId> ids;
+  ids.reserve(in_degree(v));
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    if (edges_[e].dst == v) ids.push_back(e);
+  }
+  return ids;
+}
+
+bool Digraph::has_edge(NodeId src, NodeId dst) const {
+  if (out_degree(src) == 0) return false;
+  return std::any_of(edges_.begin(), edges_.end(), [&](const Edge& e) {
+    return e.src == src && e.dst == dst;
+  });
 }
 
 namespace {
@@ -41,30 +71,29 @@ std::vector<NodeId> sorted_unique(std::vector<NodeId> v) {
 
 std::vector<NodeId> Digraph::out_neighbors(NodeId v) const {
   std::vector<NodeId> nbrs;
-  nbrs.reserve(out_.at(v).size());
-  for (EdgeId e : out_[v]) {
-    if (edges_[e].dst != v) nbrs.push_back(edges_[e].dst);
+  nbrs.reserve(out_degree(v));
+  for (const Edge& e : edges_) {
+    if (e.src == v && e.dst != v) nbrs.push_back(e.dst);
   }
   return sorted_unique(std::move(nbrs));
 }
 
 std::vector<NodeId> Digraph::in_neighbors(NodeId v) const {
   std::vector<NodeId> nbrs;
-  nbrs.reserve(in_.at(v).size());
-  for (EdgeId e : in_[v]) {
-    if (edges_[e].src != v) nbrs.push_back(edges_[e].src);
+  nbrs.reserve(in_degree(v));
+  for (const Edge& e : edges_) {
+    if (e.dst == v && e.src != v) nbrs.push_back(e.src);
   }
   return sorted_unique(std::move(nbrs));
 }
 
 std::vector<NodeId> Digraph::neighbors(NodeId v) const {
   std::vector<NodeId> nbrs;
-  nbrs.reserve(out_.at(v).size() + in_.at(v).size());
-  for (EdgeId e : out_[v]) {
-    if (edges_[e].dst != v) nbrs.push_back(edges_[e].dst);
-  }
-  for (EdgeId e : in_[v]) {
-    if (edges_[e].src != v) nbrs.push_back(edges_[e].src);
+  nbrs.reserve(degree(v));
+  for (const Edge& e : edges_) {
+    if (e.src == e.dst) continue;
+    if (e.src == v) nbrs.push_back(e.dst);
+    if (e.dst == v) nbrs.push_back(e.src);
   }
   return sorted_unique(std::move(nbrs));
 }

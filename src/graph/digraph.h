@@ -25,15 +25,23 @@ struct Edge {
   NodeId dst = kInvalidNode;
 };
 
-/// Directed multigraph with O(1) amortized insertion and per-node incidence
-/// lists.  Nodes cannot be removed (WCGs only grow during a conversation,
-/// paper §V-B), which keeps ids stable for attribute side-tables.
+/// Directed multigraph with O(1) amortized insertion and O(1) degrees.
+/// Nodes cannot be removed (WCGs only grow during a conversation, paper
+/// §V-B), which keeps ids stable for attribute side-tables.  Only the edge
+/// list and per-node degree counts are stored, so growing a graph allocates
+/// nothing per node or per edge beyond those flat tables; per-node
+/// incidence queries scan the edge list.
 class Digraph {
  public:
   Digraph() = default;
 
   /// Creates a graph with `n` isolated nodes.
   explicit Digraph(std::size_t n);
+
+  /// Removes every node and edge, keeping the tables' capacity.
+  void clear() noexcept;
+  /// Reserves room for `nodes` nodes and `edges` edges.
+  void reserve(std::size_t nodes, std::size_t edges);
 
   /// Adds a node, returning its id.
   NodeId add_node();
@@ -42,27 +50,27 @@ class Digraph {
   /// allowed but ignored by most metrics).  Both endpoints must exist.
   EdgeId add_edge(NodeId src, NodeId dst);
 
-  std::size_t node_count() const noexcept { return out_.size(); }
+  std::size_t node_count() const noexcept { return out_degree_.size(); }
   std::size_t edge_count() const noexcept { return edges_.size(); }
-  bool empty() const noexcept { return out_.empty(); }
+  bool empty() const noexcept { return out_degree_.empty(); }
 
   const Edge& edge(EdgeId e) const { return edges_.at(e); }
   std::span<const Edge> edges() const noexcept { return edges_; }
 
-  /// Edge ids leaving / entering a node.
-  std::span<const EdgeId> out_edges(NodeId v) const { return out_.at(v); }
-  std::span<const EdgeId> in_edges(NodeId v) const { return in_.at(v); }
+  /// Edge ids leaving / entering a node, in insertion order.  O(edges).
+  std::vector<EdgeId> out_edges(NodeId v) const;
+  std::vector<EdgeId> in_edges(NodeId v) const;
 
-  /// Multigraph degrees (parallel edges counted individually).
-  std::size_t out_degree(NodeId v) const { return out_.at(v).size(); }
-  std::size_t in_degree(NodeId v) const { return in_.at(v).size(); }
+  /// Multigraph degrees (parallel edges counted individually).  O(1).
+  std::size_t out_degree(NodeId v) const { return out_degree_.at(v); }
+  std::size_t in_degree(NodeId v) const { return in_degree_.at(v); }
   std::size_t degree(NodeId v) const { return out_degree(v) + in_degree(v); }
 
-  /// True if at least one edge src -> dst exists.  O(out_degree(src)).
+  /// True if at least one edge src -> dst exists.  O(edges).
   bool has_edge(NodeId src, NodeId dst) const;
 
   /// Unique out-/in-/undirected neighbors (parallel edges collapsed,
-  /// self-loops dropped).  Results are sorted.
+  /// self-loops dropped).  Results are sorted.  O(edges).
   std::vector<NodeId> out_neighbors(NodeId v) const;
   std::vector<NodeId> in_neighbors(NodeId v) const;
   std::vector<NodeId> neighbors(NodeId v) const;
@@ -79,8 +87,8 @@ class Digraph {
 
  private:
   std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
+  std::vector<std::uint32_t> out_degree_;
+  std::vector<std::uint32_t> in_degree_;
 };
 
 }  // namespace dm::graph

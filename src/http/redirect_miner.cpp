@@ -174,10 +174,17 @@ std::string host_of_url(std::string_view url) {
 std::string decode_obfuscated_layers(std::string_view text) {
   std::string decoded;
 
-  // Layer 1: \xHH and \uHHHH escapes anywhere in the body.
+  // Layer 1: \xHH and \uHHHH escapes anywhere in the body.  An escape
+  // starts at a backslash, so a body without one has no layer 1 and is not
+  // copied.
   std::string unescaped;
   bool saw_escape = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
+  const std::size_t first_backslash = text.find('\\');
+  if (first_backslash != std::string_view::npos) {
+    unescaped.reserve(text.size());
+    unescaped.append(text.substr(0, first_backslash));
+  }
+  for (std::size_t i = first_backslash; i < text.size(); ++i) {
     if (text[i] == '\\' && i + 3 < text.size() && text[i + 1] == 'x') {
       const int hi = hex_val(text[i + 2]);
       const int lo = hex_val(text[i + 3]);

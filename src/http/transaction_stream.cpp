@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "http/parser.h"
 #include "net/packet.h"
@@ -76,11 +77,18 @@ std::vector<HttpTransaction> reconstruct_transactions(
                std::make_move_iterator(txns.end()));
   }
   obs.http_transactions.add(all.size());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const HttpTransaction& a, const HttpTransaction& b) {
-                     return a.request.ts_micros < b.request.ts_micros;
-                   });
-  return all;
+  // Stable time order.  Sorting (timestamp, index) keys instead of the
+  // transactions themselves moves each transaction once, not through every
+  // merge pass of std::stable_sort; equal timestamps keep flow order.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    order[i] = {all[i].request.ts_micros, i};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<HttpTransaction> sorted;
+  sorted.reserve(all.size());
+  for (const auto& [ts, index] : order) sorted.push_back(std::move(all[index]));
+  return sorted;
 }
 
 }  // namespace

@@ -55,6 +55,7 @@ struct DirectionStream {
   std::vector<StreamChunk> chunks;
 
   /// Timestamp of the chunk containing byte `offset`; 0 if out of range.
+  /// O(log chunks); chunks are in stream order (offsets never decrease).
   std::uint64_t timestamp_at(std::size_t offset) const noexcept;
 };
 

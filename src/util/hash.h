@@ -7,11 +7,23 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
 namespace dm::util {
+
+/// Transparent hash for string-keyed unordered containers: with
+/// std::equal_to<> as the key equality, find() and count() take a
+/// std::string_view without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a(std::string_view data) noexcept;

@@ -17,6 +17,7 @@
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
 #include "runtime/sharded_online.h"
+#include "support/wcg_fold_oracle.h"
 #include "synth/dataset.h"
 
 namespace dm::core {
@@ -35,41 +36,6 @@ void expect_features_identical(const std::vector<double>& a,
         << "feature " << i << " (" << feature_names()[i] << "): " << a[i]
         << " vs " << b[i];
   }
-}
-
-/// Structural + annotation equality of two WCGs (node/edge identity in
-/// insertion order), beyond what the 37 features observe.
-void expect_wcgs_identical(const Wcg& a, const Wcg& b) {
-  ASSERT_EQ(a.node_count(), b.node_count());
-  ASSERT_EQ(a.edge_count(), b.edge_count());
-  EXPECT_EQ(a.victim(), b.victim());
-  EXPECT_EQ(a.origin(), b.origin());
-  for (std::size_t i = 0; i < a.node_count(); ++i) {
-    const auto& na = a.nodes()[i];
-    const auto& nb = b.nodes()[i];
-    EXPECT_EQ(na.host, nb.host);
-    EXPECT_EQ(na.ip, nb.ip);
-    EXPECT_EQ(na.type, nb.type) << "node " << na.host;
-    EXPECT_EQ(na.uris, nb.uris);
-    EXPECT_EQ(na.payloads_served, nb.payloads_served);
-  }
-  for (std::size_t i = 0; i < a.edge_count(); ++i) {
-    const auto& ea = a.edges()[i];
-    const auto& eb = b.edges()[i];
-    EXPECT_EQ(ea.kind, eb.kind);
-    EXPECT_EQ(ea.stage, eb.stage) << "edge " << i;
-    EXPECT_EQ(ea.ts_micros, eb.ts_micros);
-    EXPECT_EQ(ea.method, eb.method);
-    EXPECT_EQ(ea.uri_length, eb.uri_length);
-    EXPECT_EQ(ea.response_code, eb.response_code);
-    EXPECT_EQ(ea.payload_type, eb.payload_type);
-    EXPECT_EQ(ea.payload_size, eb.payload_size);
-    const auto id = static_cast<dm::graph::EdgeId>(i);
-    EXPECT_EQ(a.graph().edge(id).src, b.graph().edge(id).src);
-    EXPECT_EQ(a.graph().edge(id).dst, b.graph().edge(id).dst);
-  }
-  EXPECT_EQ(a.total_unique_uris(), b.total_unique_uris());
-  EXPECT_EQ(a.total_uri_length(), b.total_uri_length());
 }
 
 /// Replays an episode through one builder, checking current() == build()

@@ -160,6 +160,88 @@ TEST(DecodeObfuscatedTest, CleanTextYieldsEmpty) {
   EXPECT_TRUE(decode_obfuscated_layers("plain body, no obfuscation").empty());
 }
 
+/// Layer 1 (\xHH / \uHHHH escapes) as decode_obfuscated_layers did it
+/// before skipping escape-free bodies: every body copied byte by byte.
+std::string reference_escape_layer(std::string_view text) {
+  const auto hex = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  std::string unescaped;
+  bool saw_escape = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 3 < text.size() && text[i + 1] == 'x') {
+      const int hi = hex(text[i + 2]);
+      const int lo = hex(text[i + 3]);
+      if (hi >= 0 && lo >= 0) {
+        unescaped += static_cast<char>(hi * 16 + lo);
+        i += 3;
+        saw_escape = true;
+        continue;
+      }
+    }
+    if (text[i] == '\\' && i + 5 < text.size() && text[i + 1] == 'u') {
+      const int a = hex(text[i + 2]);
+      const int b = hex(text[i + 3]);
+      const int c = hex(text[i + 4]);
+      const int d = hex(text[i + 5]);
+      if (a >= 0 && b >= 0 && c >= 0 && d >= 0) {
+        const int code = ((a * 16 + b) * 16 + c) * 16 + d;
+        if (code < 128) unescaped += static_cast<char>(code);
+        i += 5;
+        saw_escape = true;
+        continue;
+      }
+    }
+    unescaped += text[i];
+  }
+  return saw_escape ? unescaped : std::string();
+}
+
+TEST(DecodeObfuscatedTest, EscapeLayerMatchesByteCopyReference) {
+  // Bodies without unescape(/atob( decode to layer 1 alone.  Fixed cases:
+  // no backslash at all, escapes at the start, middle and end, backslashes
+  // that start no escape, and escapes cut off by the end of the body.
+  std::vector<std::string> bodies = {
+      "",
+      "plain <html> body with no backslash",
+      "\\x68\\x74tp://a.example/",
+      "var u = \"\\x68\\x74\\x74\\x70://evil.example/x\";",
+      "tail escape \\u0041",
+      "\\ lone \\n \\q backslashes \\xZZ \\u12G4",
+      "cut \\x4",
+      "cut \\u004",
+      "\\u00e9 non-ascii dropped \\u0068i",
+      "\\\\x41 doubled",
+  };
+  // Random bodies built from whole escapes, broken escapes and plain text.
+  dm::util::Rng rng(9151);
+  const std::vector<std::string> tokens = {
+      "\\x41", "\\x7a", "\\u0062", "\\u00ff", "\\x4", "\\u12G4", "\\",
+      "x",     "u",     "7f",      "plain",   " ",     "\"",      "<a href=/>"};
+  for (int i = 0; i < 2000; ++i) {
+    std::string body;
+    const auto count = rng.uniform_int(0, 12);
+    for (std::int64_t k = 0; k < count; ++k) {
+      body += tokens[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tokens.size()) - 1))];
+    }
+    bodies.push_back(std::move(body));
+  }
+  std::size_t escaped = 0;
+  for (const auto& body : bodies) {
+    const std::string want = reference_escape_layer(body);
+    EXPECT_EQ(decode_obfuscated_layers(body), want) << body;
+    if (!want.empty()) ++escaped;
+  }
+  EXPECT_GT(escaped, 500u);  // both kinds of body were exercised
+  // Escape-free bodies with the other layers decode exactly as before.
+  EXPECT_EQ(decode_obfuscated_layers("x=unescape('%68%69'); y=atob('eHl6');"),
+            "hixyz");
+}
+
 class AllTechniquesTest
     : public ::testing::TestWithParam<dm::synth::RedirectTechnique> {};
 

@@ -162,6 +162,52 @@ TEST(TcpReassemblyTest, TimestampsTrackChunks) {
   EXPECT_EQ(stream.timestamp_at(99), 0u);
 }
 
+TEST(TcpReassemblyTest, TimestampLookupMatchesLinearScanOnLongFlow) {
+  // A long pipelined flow: 400 segments of 1..9 bytes, some delivered out
+  // of order (so later segments land in one flush), each with its own
+  // timestamp.  Every offset, each chunk's first and last byte, and offsets
+  // past the end must read exactly what a scan over every chunk reads.
+  TcpReassembler r;
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 0, "", {.syn = true}), 1);
+  std::uint32_t seq = 1;
+  std::vector<std::pair<std::uint32_t, std::string>> segments;
+  for (int i = 0; i < 400; ++i) {
+    const std::string payload(static_cast<std::size_t>(1 + i % 9),
+                              static_cast<char>('a' + i % 26));
+    segments.emplace_back(seq, payload);
+    seq += static_cast<std::uint32_t>(payload.size());
+  }
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    // Swap each fourth pair so a gap is filled by a later packet.
+    const std::size_t k = (i % 4 == 0 && i + 1 < segments.size()) ? i + 1
+                          : (i % 4 == 1)                          ? i - 1
+                                                                   : i;
+    r.ingest(data_packet(kClient, 40000, kServer, 80, segments[k].first,
+                         segments[k].second),
+             100 + i);
+  }
+  const auto& stream = r.flows()[0]->client_to_server;
+  ASSERT_GT(stream.chunks.size(), 300u);
+  const auto linear = [&](std::size_t offset) -> std::uint64_t {
+    for (const auto& chunk : stream.chunks) {
+      if (offset >= chunk.offset && offset < chunk.offset + chunk.length) {
+        return chunk.ts_micros;
+      }
+    }
+    return 0;
+  };
+  for (std::size_t offset = 0; offset < stream.data.size() + 16; ++offset) {
+    ASSERT_EQ(stream.timestamp_at(offset), linear(offset)) << offset;
+  }
+  for (const auto& chunk : stream.chunks) {
+    EXPECT_EQ(stream.timestamp_at(chunk.offset), chunk.ts_micros);
+    EXPECT_EQ(stream.timestamp_at(chunk.offset + chunk.length - 1), chunk.ts_micros);
+  }
+  EXPECT_EQ(stream.timestamp_at(stream.data.size()), 0u);
+  EXPECT_EQ(stream.timestamp_at(static_cast<std::size_t>(-1)), 0u);
+  EXPECT_EQ(DirectionStream{}.timestamp_at(0), 0u);
+}
+
 TEST(TcpReassemblyTest, SequenceWraparound) {
   TcpReassembler r;
   const std::uint32_t near_max = 0xfffffffe;
