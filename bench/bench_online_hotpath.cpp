@@ -1,41 +1,32 @@
-// Online hot-path A/B: ScoringMode::kIncremental vs kFromScratch on one
-// long-session corpus, plus the sharded determinism fence.
+// Online hot-path bench: the production engine on one long-session corpus,
+// fenced against the reference scorer and the sharded engine, plus the
+// causal-tracing overhead arms.
 //
 // The workload is the regime the incremental path exists for: long-lived
 // proxy sessions (hundreds of transactions under one session cookie) where
 // a clue fires mid-stream and the session then KEEPS STREAMING — every
 // further transaction re-queries the classifier until the session ends.
-// From-scratch pays O(n) per update (rescan the whole session history,
-// rebuild the scoped WCG, recompute all 19 graph metrics, walk the pointer
-// forest); incremental folds only the delta, serves metrics from the
-// topology-version cache, skips provably-unchanged queries outright, and
-// scores through the flattened ERF.
+// The engine folds only the delta into the scoped WCG, serves graph metrics
+// from the topology-version cache, skips provably-unchanged queries
+// outright, and scores through the flattened ERF.
 //
 // Before any timing, the correctness invariant is enforced on the verdict
 // tap's score stream, (client, trace timestamp, score bits) per completed
-// query.  The incremental stream, sequential and sharded at 1/2/8 shards,
-// must be IDENTICAL.  Against the sequential from-scratch reference it must
-// be contained, and every extra from-scratch verdict must repeat a score
-// the client already had (the incremental path skips re-scoring an
-// unchanged scoped WCG).  An empty stream fails too: a fence over zero
-// verdicts proves nothing.  The process exits nonzero on divergence; a
-// speedup for a wrong answer is worthless.
+// query.  The production stream must be IDENTICAL to that of the same
+// engine scoring through the test-support ReferenceScorer (uncached
+// extraction, pointer forest), and to the sharded engine's at 1/2/8 shards.
+// An empty stream fails too: a fence over zero verdicts proves nothing.
+// The process exits nonzero on divergence; a number for a wrong answer is
+// worthless.
 //
-// Acceptance targets (ISSUE 4): >= 3x transaction throughput AND >= 3x
-// lower p95 dm.detect.clue_to_verdict_ns for incremental vs from-scratch.
-// `--json <path>` appends the result record (both modes + ratios) as one
-// JSON line; BENCH_hotpath.json at the repo root is the checked-in baseline.
+// `--json <path>` appends the result record as one JSON line;
+// BENCH_hotpath.json at the repo root is the checked-in baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
@@ -46,13 +37,15 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/sharded_online.h"
+#include "support/online_reference.h"
 #include "synth/dataset.h"
 
 namespace {
 
 using dm::core::Alert;
 using dm::core::OnlineOptions;
-using dm::core::ScoringMode;
+using dm::core::ScoreKey;
+using dm::core::ScoreStream;
 using dm::http::HttpTransaction;
 
 struct TraceShape {
@@ -98,8 +91,8 @@ HttpTransaction make_txn(const std::string& client, const std::string& cookie,
   txn.request.method = "GET";
   txn.request.uri = uri;
   txn.request.ts_micros = ts_micros;
-  // Realistic browser request: the header block matters, because the
-  // from-scratch rescan parses each transaction's Referer on every query.
+  // Realistic browser request: every transaction carries a full header
+  // block, as the fold inputs are derived from it.
   txn.request.headers.add("User-Agent", "Mozilla/5.0 (Windows NT 10.0)");
   txn.request.headers.add("Accept", "text/html,application/xhtml+xml");
   txn.request.headers.add("Accept-Language", "en-US,en;q=0.9");
@@ -134,8 +127,8 @@ HttpTransaction make_redirect(const std::string& client,
 /// chain into a risky download (fires the clue under threshold 2), then
 /// `post_clue` transactions — unrelated noise punctuated every 64 steps by
 /// a callback POST to a never-seen host (retroactive implication: forces a
-/// scope rescan in incremental mode) and a request referred from the drop
-/// host (scoped-WCG growth, so not every post-clue query can be skipped).
+/// scope rescan) and a request referred from the drop host (scoped-WCG
+/// growth, so not every post-clue query can be skipped).
 void append_client_session(std::vector<HttpTransaction>& stream,
                            const TraceShape& shape, std::size_t c,
                            std::uint64_t start_micros) {
@@ -190,11 +183,11 @@ void append_client_session(std::vector<HttpTransaction>& stream,
 }
 
 /// Full benchmark trace: the crafted long sessions interleaved with synth
-/// benign browsing.  The alert set the equivalence fence compares comes
-/// from the crafted sessions themselves (their post-clue call-back growth
-/// eventually crosses the decision threshold); synth infection episodes are
-/// deliberately absent — their sessions are short, so their clue-to-verdict
-/// samples cost the same in both modes and would only blur the A/B.
+/// benign browsing.  The verdicts the fence compares come from the crafted
+/// sessions themselves (their post-clue call-back growth keeps re-querying
+/// the classifier); synth infection episodes are deliberately absent —
+/// their sessions are short and would not exercise the long-session regime
+/// this bench times.
 std::vector<HttpTransaction> build_trace(const TraceShape& shape,
                                          std::uint64_t seed) {
   std::vector<HttpTransaction> stream;
@@ -229,63 +222,17 @@ std::vector<HttpTransaction> build_trace(const TraceShape& shape,
   return stream;
 }
 
-/// One completed verdict: (client, trace timestamp, score bits).
-using ScoreKey = std::tuple<std::string, std::uint64_t, std::uint64_t>;
-
-/// Verdict-tap sink; shard threads append under the lock.
-struct ScoreStream {
-  std::mutex mutex;
-  std::vector<ScoreKey> keys;
-
-  /// The recorded verdicts in a canonical (sorted) order.
-  std::vector<ScoreKey> sorted() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    auto out = keys;
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-};
-
-OnlineOptions mode_options(ScoringMode mode, dm::obs::MetricsRegistry* metrics,
-                           ScoreStream* scores = nullptr) {
+/// Production options; `scores` (when set) becomes the verdict tap.
+OnlineOptions online_options(dm::obs::MetricsRegistry* metrics,
+                             ScoreStream* scores = nullptr) {
   OnlineOptions options;
   options.redirect_chain_threshold = 2;
-  options.scoring = mode;
   options.metrics = metrics;
-  if (scores != nullptr) {
-    options.verdict_tap = [scores](const dm::core::Wcg& wcg, double score,
-                                   bool, std::uint64_t ts) {
-      std::uint64_t score_bits;
-      static_assert(sizeof(score_bits) == sizeof(score));
-      std::memcpy(&score_bits, &score, sizeof(score_bits));
-      ScoreKey key{wcg.node(wcg.victim()).host, ts, score_bits};
-      const std::lock_guard<std::mutex> lock(scores->mutex);
-      scores->keys.push_back(std::move(key));
-    };
-  }
+  if (scores != nullptr) options.verdict_tap = scores->tap();
   return options;
 }
 
-/// Whether the from-scratch stream is the incremental one plus re-scores of
-/// unchanged WCGs: every incremental verdict appears in it, and each extra
-/// verdict repeats a score its client already received.  Both sorted.
-bool scratch_extends(const std::vector<ScoreKey>& scratch,
-                     const std::vector<ScoreKey>& incremental) {
-  std::map<std::string, std::set<std::uint64_t>> seen;  // client -> scores
-  std::size_t j = 0;
-  for (const auto& key : scratch) {
-    const auto& [client, ts, bits] = key;
-    if (j < incremental.size() && incremental[j] == key) {
-      seen[client].insert(bits);
-      ++j;
-    } else if (seen[client].count(bits) == 0) {
-      return false;
-    }
-  }
-  return j == incremental.size();
-}
-
-/// One incremental-mode pass with causal tracing at `sample_period`
+/// One production pass with causal tracing at `sample_period`
 /// (0 = sink disabled).  A private sink and an in-memory flight recorder
 /// keep the arm self-contained.  Returns txn/s.
 double traced_pass(const std::vector<HttpTransaction>& trace,
@@ -302,7 +249,7 @@ double traced_pass(const std::vector<HttpTransaction>& trace,
     return options;
   }()};
   dm::obs::MetricsRegistry metrics;
-  auto options = mode_options(ScoringMode::kIncremental, &metrics);
+  auto options = online_options(&metrics);
   options.trace = &sink;
   options.flight = &flight;
   dm::core::OnlineDetector detector(trained_detector(), options);
@@ -334,7 +281,7 @@ TraceOverheadRow trace_overhead(const std::vector<HttpTransaction>& trace,
   return row;
 }
 
-struct ModeResult {
+struct PassResult {
   std::string name;
   double elapsed_ms = 0;
   double txn_per_s = 0;
@@ -343,22 +290,27 @@ struct ModeResult {
   std::uint64_t c2v_count = 0;
   dm::core::OnlineStats stats;
   std::vector<Alert> alerts;
-  std::vector<ScoreKey> scores;  // sorted
+  std::vector<ScoreKey> scores;  // tap order
 };
 
-ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
-                    const std::string& name) {
-  // Private registry per run: each mode's clue-to-verdict histogram is
-  // isolated, so the A/B never mixes samples.
+/// One sequential pass; `reference` scores through the ReferenceScorer.
+PassResult run_sequential(const std::vector<HttpTransaction>& trace,
+                          const std::string& name, bool reference) {
+  // Private registry per run, so no pass mixes clue-to-verdict samples
+  // into another's histogram.
   dm::obs::MetricsRegistry metrics;
   ScoreStream scores;
-  dm::core::OnlineDetector detector(trained_detector(),
-                                    mode_options(mode, &metrics, &scores));
+  auto options = online_options(&metrics, &scores);
+  if (reference) {
+    options.scorer =
+        std::make_shared<dm::core::ReferenceScorer>(trained_detector());
+  }
+  dm::core::OnlineDetector detector(trained_detector(), options);
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& txn : trace) detector.observe(txn);
   const auto t1 = std::chrono::steady_clock::now();
 
-  ModeResult result;
+  PassResult result;
   result.name = name;
   result.elapsed_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -366,7 +318,7 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
       static_cast<double>(trace.size()) / (result.elapsed_ms / 1e3);
   result.stats = detector.stats();
   result.alerts = detector.alerts();
-  result.scores = scores.sorted();
+  result.scores = scores.keys();
   const auto snap = metrics.snapshot();
   if (const auto* h = snap.histogram("dm.detect.clue_to_verdict_ns")) {
     result.c2v_p50_ns = h->p50();
@@ -376,7 +328,7 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
   return result;
 }
 
-/// The sorted score stream of an incremental run over `shards` shards.
+/// The sorted score stream of a run over `shards` shards.
 std::vector<ScoreKey> run_sharded(std::size_t shards,
                                   const std::vector<HttpTransaction>& trace) {
   ScoreStream scores;
@@ -384,14 +336,14 @@ std::vector<ScoreKey> run_sharded(std::size_t shards,
   options.num_shards = shards;
   options.batch_size = 64;
   options.queue_capacity = 128;
-  options.online = mode_options(ScoringMode::kIncremental, nullptr, &scores);
+  options.online = online_options(nullptr, &scores);
   dm::runtime::ShardedOnlineEngine engine(trained_detector(), options);
   for (const auto& txn : trace) engine.observe(txn);
   engine.finish();
   return scores.sorted();
 }
 
-void print_mode(const ModeResult& r) {
+void print_pass(const PassResult& r) {
   std::printf("%-13s %9.1f ms  %9.0f txn/s  queries=%-6zu skipped=%-6zu "
               "rescans=%-4zu alerts=%zu\n",
               r.name.c_str(), r.elapsed_ms, r.txn_per_s,
@@ -409,7 +361,8 @@ int main(int argc, char** argv) {
   const double scale = dm::bench::scale_from_env(1.0);
   const std::uint64_t seed = dm::bench::seed_from_env();
   dm::bench::print_header(
-      "bench_online_hotpath: incremental vs from-scratch scoring", scale, seed);
+      "bench_online_hotpath: production scoring, fenced against the reference",
+      scale, seed);
 
   const auto shape = trace_shape(scale);
   const auto trace = build_trace(shape, seed);
@@ -420,47 +373,40 @@ int main(int argc, char** argv) {
   dm::obs::set_enabled(true);
 
   // Warm-up untimed pass (page in the trace, the model, the allocator).
-  run_mode(ScoringMode::kIncremental, trace, "warmup");
+  run_sequential(trace, "warmup", false);
 
-  const auto scratch = run_mode(ScoringMode::kFromScratch, trace, "from-scratch");
-  const auto incremental =
-      run_mode(ScoringMode::kIncremental, trace, "incremental");
-  print_mode(scratch);
-  print_mode(incremental);
+  const auto reference = run_sequential(trace, "reference", true);
+  const auto production = run_sequential(trace, "production", false);
+  print_pass(production);
 
   // --- correctness fence: score streams, bit for bit ----------------------
-  const auto& reference = incremental.scores;
-  if (reference.empty()) {
+  if (production.scores.empty()) {
     std::fprintf(stderr, "FATAL: no verdicts; the score-stream fence would "
                          "compare empty streams\n");
     return 1;
   }
-  if (!scratch_extends(scratch.scores, reference)) {
-    std::fprintf(stderr, "FATAL: incremental score stream diverged from "
-                         "from-scratch (%zu vs %zu verdicts)\n",
-                 reference.size(), scratch.scores.size());
+  if (production.scores != reference.scores) {
+    std::fprintf(stderr, "FATAL: production score stream diverged from the "
+                         "reference scorer's (%zu vs %zu verdicts)\n",
+                 production.scores.size(), reference.scores.size());
     return 1;
   }
+  auto sorted_scores = production.scores;
+  std::sort(sorted_scores.begin(), sorted_scores.end());
   for (const std::size_t shards : {1, 2, 8}) {
-    if (run_sharded(shards, trace) != reference) {
+    if (run_sharded(shards, trace) != sorted_scores) {
       std::fprintf(stderr,
-                   "FATAL: %zu-shard incremental score stream diverged from "
-                   "the sequential one\n",
+                   "FATAL: %zu-shard score stream diverged from the "
+                   "sequential one\n",
                    shards);
       return 1;
     }
   }
-  std::printf("\nscore streams identical across 1/2/8 shards and consistent "
-              "with from-scratch (%zu verdicts, %zu from-scratch, %zu alerts)\n",
-              reference.size(), scratch.scores.size(), incremental.alerts.size());
+  std::printf("\nscore streams identical: reference scorer, sequential, "
+              "1/2/8 shards (%zu verdicts, %zu alerts)\n",
+              production.scores.size(), production.alerts.size());
 
-  const double throughput_ratio = incremental.txn_per_s / scratch.txn_per_s;
-  const double p95_ratio = scratch.c2v_p95_ns /
-                           std::max(incremental.c2v_p95_ns, 1.0);
-  std::printf("\nthroughput: %.2fx   (target >= 3x)\n", throughput_ratio);
-  std::printf("clue-to-verdict p95: %.2fx lower   (target >= 3x)\n", p95_ratio);
-
-  // --- tracing overhead arms (ISSUE 8): off vs default sampling vs always-on.
+  // --- tracing overhead arms: off vs default sampling vs always-on.
   constexpr int kTraceReps = 7;
   const auto overhead = trace_overhead(trace, kTraceReps);
   const double trace_off = overhead.off;
@@ -468,8 +414,7 @@ int main(int argc, char** argv) {
   const double trace_always = overhead.always;
   const double sampled_overhead_pct = (1.0 - trace_sampled / trace_off) * 100.0;
   const double always_overhead_pct = (1.0 - trace_always / trace_off) * 100.0;
-  std::printf("\ntracing overhead (incremental mode, best of %d):\n",
-              kTraceReps);
+  std::printf("\ntracing overhead (best of %d):\n", kTraceReps);
   std::printf("  off        %9.0f txn/s\n", trace_off);
   std::printf("  sampled/16 %9.0f txn/s  (%+.2f%%, target <= 3%%)\n",
               trace_sampled, sampled_overhead_pct);
@@ -481,27 +426,19 @@ int main(int argc, char** argv) {
     record.set("bench", "bench_online_hotpath");
     record.set("transactions", static_cast<std::uint64_t>(trace.size()));
     record.set("long_sessions", static_cast<std::uint64_t>(shape.clients));
-    record.set("alerts", static_cast<std::uint64_t>(incremental.alerts.size()));
-    record.set("verdicts", static_cast<std::uint64_t>(reference.size()));
-    record.set("fromscratch_ms", scratch.elapsed_ms);
-    record.set("fromscratch_txn_per_s", scratch.txn_per_s);
-    record.set("fromscratch_queries",
-               static_cast<std::uint64_t>(scratch.stats.classifier_queries));
-    record.set("fromscratch_c2v_p50_ns", scratch.c2v_p50_ns);
-    record.set("fromscratch_c2v_p95_ns", scratch.c2v_p95_ns);
-    record.set("incremental_ms", incremental.elapsed_ms);
-    record.set("incremental_txn_per_s", incremental.txn_per_s);
+    record.set("alerts", static_cast<std::uint64_t>(production.alerts.size()));
+    record.set("verdicts", static_cast<std::uint64_t>(production.scores.size()));
+    record.set("incremental_ms", production.elapsed_ms);
+    record.set("incremental_txn_per_s", production.txn_per_s);
     record.set("incremental_queries",
-               static_cast<std::uint64_t>(incremental.stats.classifier_queries));
+               static_cast<std::uint64_t>(production.stats.classifier_queries));
     record.set("incremental_skipped",
                static_cast<std::uint64_t>(
-                   incremental.stats.queries_skipped_unchanged));
+                   production.stats.queries_skipped_unchanged));
     record.set("incremental_rescans",
-               static_cast<std::uint64_t>(incremental.stats.scope_rescans));
-    record.set("incremental_c2v_p50_ns", incremental.c2v_p50_ns);
-    record.set("incremental_c2v_p95_ns", incremental.c2v_p95_ns);
-    record.set("throughput_ratio", throughput_ratio);
-    record.set("c2v_p95_ratio", p95_ratio);
+               static_cast<std::uint64_t>(production.stats.scope_rescans));
+    record.set("incremental_c2v_p50_ns", production.c2v_p50_ns);
+    record.set("incremental_c2v_p95_ns", production.c2v_p95_ns);
     record.set("trace_off_txn_per_s", trace_off);
     record.set("trace_sampled_txn_per_s", trace_sampled);
     record.set("trace_alwayson_txn_per_s", trace_always);

@@ -35,7 +35,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "runtime/sharded_online.h"
-#include "runtime/stats.h"
 #include "synth/dataset.h"
 
 namespace {
@@ -182,7 +181,7 @@ BENCHMARK(BM_ShardedOnline)
     ->UseRealTime()
     ->Iterations(1);
 
-// --- runtime::Stats false-sharing A/B --------------------------------------
+// --- runtime counter false-sharing A/B -------------------------------------
 // The pre-padding layout: hot counters packed shoulder to shoulder, so the
 // dispatcher's transactions_in and the workers' transactions_out /
 // detector_failures share one cache line.  Kept here (not in src/) purely
@@ -207,14 +206,13 @@ void BM_StatsCountersPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsCountersPacked)->Threads(4)->UseRealTime();
 
+// The engine's layout: one obs::Counter per runtime counter, each writing
+// thread on its own cache-line-isolated shard.
 void BM_StatsCountersPadded(benchmark::State& state) {
-  static dm::runtime::Stats stats;  // each counter on its own line
-  dm::runtime::PaddedStatCounter* slots[4] = {
-      &stats.transactions_in, &stats.transactions_out,
-      &stats.batches_dispatched, &stats.detector_failures};
-  auto* counter = slots[state.thread_index() % 4];
+  static dm::obs::Counter slots[4];  // in, out, batches, detector failures
+  auto* counter = &slots[state.thread_index() % 4];
   for (auto _ : state) {
-    counter->fetch_add(1, std::memory_order_relaxed);
+    counter->add();
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -39,12 +39,14 @@ fi
 # and adversarial detection-path fences; graph adds the graph-metric suite
 # and its differential fences (flat CSR flow networks, path-sweep index
 # arithmetic).  Both sanitizers run the same label union so nothing
-# labelled escapes either.
+# labelled escapes either; the tsan tree adds the `tsan` label, whose
+# concurrency tests (runtime queue, worker pool and sharded engine, the
+# logger, the shared detector) carry no other label.
 LABELS="obs|fault|train|serve|perf|synth|graph"
 
 run cmake -B build-tsan -S . -DDM_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"
-run ctest --test-dir build-tsan -L "$LABELS" --output-on-failure
+run ctest --test-dir build-tsan -L "$LABELS|tsan" --output-on-failure
 
 run cmake -B build-asan -S . -DDM_SANITIZE=address
 run cmake --build build-asan -j "$JOBS"

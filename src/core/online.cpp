@@ -17,10 +17,7 @@ using dm::http::HttpTransaction;
 using dm::http::PayloadType;
 
 /// Whether a stored transaction belongs to the potential-infection scope:
-/// it touches an implicated host as server or referrer.  The single
-/// relatedness rule shared by the from-scratch rebuild and the incremental
-/// scope maintenance — identical filters are what make the two modes'
-/// scoped WCGs (and hence alerts) bit-identical.
+/// it touches an implicated host as server or referrer.
 bool clue_related(const WcgBuilder::Entry& entry,
                   const HostSet& suspicious_hosts) {
   if (suspicious_hosts.count(entry.txn.server_host) > 0) return true;
@@ -299,7 +296,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction transaction) {
   // Keep the scoped (clue-related) builder in lockstep with the stream so
   // the first post-clue verdict only folds a delta, never the whole
   // session history.
-  if (options_.scoring == ScoringMode::kIncremental) maintain_scope(session);
+  maintain_scope(session);
 
   // --- Classification -----------------------------------------------------
   // Once a clue has fired, every update re-extracts features and queries
@@ -374,16 +371,6 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction transaction) {
   return alert;
 }
 
-Wcg OnlineDetector::potential_infection_wcg(const Session& session) const {
-  // The reference path copies each related transaction and derives its
-  // fold inputs afresh, independent of the entries the hot path shares.
-  WcgBuilder scoped(shared_builder_options_);
-  for (const auto& entry : session.builder.entries()) {
-    if (clue_related(*entry, session.suspicious_hosts)) scoped.add(entry->txn);
-  }
-  return scoped.build();
-}
-
 void OnlineDetector::maintain_scope(Session& session) {
   const auto& entries = session.builder.entries();
   if (session.scope_suspicious_seen != session.suspicious_hosts.size()) {
@@ -413,7 +400,6 @@ void OnlineDetector::maintain_scope(Session& session) {
 std::optional<Alert> OnlineDetector::classify_session(Session& session,
                                                       const HttpTransaction& txn,
                                                       PayloadType trigger) {
-  const bool incremental = options_.scoring == ScoringMode::kIncremental;
   auto verdict_span = timer_.span(obs_.stage_verdict_ns);
   dm::obs::ScopedTraceSpan verdict_tspan(dm::obs::TraceOp::kVerdict);
 
@@ -424,7 +410,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // the session was terminated).  Skipping is therefore alert-equivalent
   // to re-scoring.  Failed queries clear scope_eval_valid, so a faulting
   // classifier is retried on every update, never silently skipped.
-  if (incremental && session.scope_eval_valid &&
+  if (session.scope_eval_valid &&
       session.scoped.transaction_count() == session.scope_eval_txns) {
     ++stats_.queries_skipped_unchanged;
     verdict_span.cancel();
@@ -433,15 +419,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
 
   auto wcg_span = timer_.span(obs_.stage_wcg_build_ns);
   dm::obs::ScopedTraceSpan wcg_tspan(dm::obs::TraceOp::kWcgBuild);
-  Wcg rebuilt;  // from-scratch mode only
-  const Wcg* wcg = nullptr;
-  if (incremental) {
-    wcg = &session.scoped.current();  // folds the pending delta
-  } else {
-    rebuilt = potential_infection_wcg(session);
-    wcg = &rebuilt;
-  }
-  wcg_tspan.set_arg(wcg->node_count());
+  const Wcg& wcg = session.scoped.current();  // folds the pending delta
+  wcg_tspan.set_arg(wcg.node_count());
   wcg_tspan.end();
   wcg_span.stop();
 
@@ -449,8 +428,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
     session.scope_eval_txns = session.scoped.transaction_count();
     session.scope_eval_valid = true;
   };
-  if (wcg->node_count() < 2) {
-    if (incremental) mark_evaluated();  // deterministic outcome: no query
+  if (wcg.node_count() < 2) {
+    mark_evaluated();  // deterministic outcome: no query
     verdict_span.cancel();  // nothing was classified
     return std::nullopt;
   }
@@ -466,13 +445,11 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
       // may swap models between queries).  The cache stays valid across
       // swaps — graph-metric extraction is model-independent.  The scorer
       // stamps the pinned model version into the ambient trace context.
-      score = options_.scorer->score(
-          *wcg, incremental ? &session.feature_cache : nullptr);
+      score = options_.scorer->score(wcg, &session.feature_cache);
     } else {
       dm::obs::trace_set_model_version(
           static_cast<std::uint32_t>(detector_->forest().model_version()));
-      score = incremental ? detector_->score(*wcg, &session.feature_cache)
-                          : detector_->score_from_scratch(*wcg);
+      score = detector_->score(wcg, &session.feature_cache);
     }
   } catch (const std::exception& e) {
     ++stats_.classifier_failures;
@@ -487,7 +464,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
                           "online: classifier failure quarantined");
     return std::nullopt;
   }
-  if (incremental) mark_evaluated();
+  mark_evaluated();
   obs_.detect_verdicts.add(1);
   dm::obs::trace_instant(dm::obs::TraceOp::kVerdictScore,
                          score_microunits(score));
@@ -503,7 +480,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // observation of (WCG, label-as-classified).
   const bool infection = score >= options_.decision_threshold;
   if (options_.verdict_tap) {
-    options_.verdict_tap(*wcg, score, infection, txn.request.ts_micros);
+    options_.verdict_tap(wcg, score, infection, txn.request.ts_micros);
   }
   if (!infection) return std::nullopt;
 
@@ -519,8 +496,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   alert.trigger_payload = session.clue_payload != dm::http::PayloadType::kNone
                               ? session.clue_payload
                               : trigger;
-  alert.wcg_order = wcg->node_count();
-  alert.wcg_size = wcg->edge_count();
+  alert.wcg_order = wcg.node_count();
+  alert.wcg_size = wcg.edge_count();
   session.alerted = true;  // paper: the corresponding session is terminated
   ++stats_.alerts;
   obs_.detect_alerts.add(1);

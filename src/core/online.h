@@ -38,25 +38,12 @@
 
 namespace dm::core {
 
-/// How classify_session obtains the potential-infection WCG and its score.
-enum class ScoringMode {
-  /// Hot path: per-session scoped builder appended as clue-related
-  /// transactions arrive (full rescan only when suspicious_hosts grows),
-  /// graph metrics cached on topology version, flattened ERF.  Produces
-  /// bit-identical scores and alerts to kFromScratch.
-  kIncremental,
-  /// Reference path: rebuild the scoped WCG from all session transactions,
-  /// uncached extraction, pointer-based forest — on every update.  Kept for
-  /// equivalence tests and the bench_online_hotpath A/B.
-  kFromScratch,
-};
-
 /// Classifier seam for the scoring hot path.  The engine's default is the
 /// constructor-bound Detector; a serving layer (src/serve) installs an
 /// implementation that scores through an RCU-pinned, hot-swappable model
 /// instead.  Implementations must be deterministic in the WCG — identical
 /// graphs must yield identical scores, the property every alert-identity
-/// fence (sharded determinism, incremental-vs-rebuild, no-op swap) rests on.
+/// fence (sharded determinism, reference scoring, no-op swap) rests on.
 class WcgScorer {
  public:
   virtual ~WcgScorer() = default;
@@ -103,8 +90,6 @@ struct OnlineOptions {
   /// the WCG under test is far from the corpus prior; the clue gate, not
   /// the threshold, carries the false-positive control (§V-B).
   double decision_threshold = 0.4;
-  /// Scoring implementation; both modes yield identical alert sets.
-  ScoringMode scoring = ScoringMode::kIncremental;
   /// Resident session-state budget; see SessionBudget.
   SessionBudget budget;
   FeatureExtractorOptions features;
@@ -121,9 +106,8 @@ struct OnlineOptions {
   dm::obs::MetricsRegistry* metrics = nullptr;
   dm::obs::ClockFn clock = nullptr;
   /// When set, classify_session queries this scorer instead of the
-  /// constructor-bound detector (both ScoringModes; the scorer decides how
-  /// to use the cache).  Exceptions it throws are quarantined exactly like
-  /// detector failures.
+  /// constructor-bound detector (the scorer decides how to use the cache).
+  /// Exceptions it throws are quarantined exactly like detector failures.
   std::shared_ptr<WcgScorer> scorer;
   /// Verdict tap: invoked after every *completed* classifier query with the
   /// scored WCG, its score, the hard decision at decision_threshold, and
@@ -175,7 +159,7 @@ struct OnlineStats {
   /// Sessions evicted by the SessionBudget (LRU-first, both causes); always
   /// zero when the budget is unbounded.
   std::size_t sessions_evicted = 0;
-  // Incremental-mode diagnostics (zero under ScoringMode::kFromScratch):
+  // Scope-maintenance diagnostics:
   /// Scope refilters forced by suspicious_hosts growing (a host implicated
   /// retroactively re-admits earlier transactions).
   std::size_t scope_rescans = 0;
@@ -190,6 +174,9 @@ using HostSet =
     std::unordered_set<std::string, dm::util::StringHash, std::equal_to<>>;
 
 class OnlineDetector {
+  /// Test-support scope check (tests/support/online_reference.h).
+  friend class OnlineDetectorPeer;
+
  public:
   OnlineDetector(Detector detector, OnlineOptions options = {});
 
@@ -246,7 +233,7 @@ class OnlineDetector {
     std::uint64_t clue_fired_ns = 0;
     bool clue_latency_recorded = false;
 
-    // --- Incremental-scoring state (ScoringMode::kIncremental only) ------
+    // --- Incremental-scoring state --------------------------------------
     /// Delta-maintained scoped builder: exactly the clue-related subsequence
     /// of `builder`'s entries, shared rather than copied, appended as they
     /// arrive so the first post-clue verdict needs no O(n) backfill.
@@ -301,13 +288,10 @@ class OnlineDetector {
   /// Why a session left the map; each cause has its own dm.session.* counter.
   enum class EvictCause { kIdle, kAlerted, kBudgetSessions, kBudgetBytes };
 
-  /// Builds the potential-infection WCG for a clue-bearing session.
-  Wcg potential_infection_wcg(const Session& session) const;
-
-  /// Incremental mode: folds new transactions into `session.scoped`,
-  /// refiltering from scratch when suspicious_hosts grew.  Called on every
-  /// observe() so the work is amortized across the stream instead of
-  /// landing on the first post-clue verdict.
+  /// Folds new transactions into `session.scoped`, refiltering from scratch
+  /// when suspicious_hosts grew.  Called on every observe() so the work is
+  /// amortized across the stream instead of landing on the first post-clue
+  /// verdict.
   void maintain_scope(Session& session);
 
   /// One client's resident sessions, and the ordinal of its next one.

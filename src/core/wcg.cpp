@@ -22,11 +22,6 @@ std::string_view edge_kind_name(EdgeKind kind) noexcept {
   return "?";
 }
 
-dm::graph::NodeId Wcg::add_host(const std::string& host) {
-  const auto id = find_host(host);
-  return id != dm::graph::kInvalidNode ? id : add_node(host);
-}
-
 dm::graph::NodeId Wcg::add_node(std::string_view host) {
   const auto id = graph_.add_node();
   WcgNode& node = nodes_.emplace_back();
@@ -48,13 +43,6 @@ bool Wcg::add_uri(dm::graph::NodeId id, const std::string& uri) {
   ++total_uris_;
   total_uri_length_ += uri.size();
   return true;
-}
-
-dm::graph::NodeId Wcg::find_host(std::string_view host) const noexcept {
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].host == host) return static_cast<dm::graph::NodeId>(id);
-  }
-  return dm::graph::kInvalidNode;
 }
 
 void Wcg::clear() noexcept {

@@ -102,13 +102,8 @@ struct WcgAnnotations {
 /// edge attributes are parallel side tables indexed by the graph's ids.
 class Wcg {
  public:
-  /// Adds a node for `host`, or returns the existing one.  O(nodes): for
-  /// hand-built graphs and tests; WcgBuilder interns hosts itself and calls
-  /// add_node().
-  dm::graph::NodeId add_host(const std::string& host);
-
   /// Appends a node for `host`.  The caller guarantees that no node has
-  /// that host yet.
+  /// that host yet (WcgBuilder interns hosts itself).
   dm::graph::NodeId add_node(std::string_view host);
 
   /// Adds an annotated edge.
@@ -121,9 +116,6 @@ class Wcg {
   /// total_unique_uris()/total_uri_length().  Returns true if the URI was
   /// new for that node.
   bool add_uri(dm::graph::NodeId id, const std::string& uri);
-
-  /// Looks up a host's node; kInvalidNode when absent.  O(nodes).
-  dm::graph::NodeId find_host(std::string_view host) const noexcept;
 
   /// Empties the graph back to a default-constructed one (topology version
   /// 0 included), keeping the node and edge tables' capacity.

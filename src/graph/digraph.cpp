@@ -36,24 +36,6 @@ EdgeId Digraph::add_edge(NodeId src, NodeId dst) {
   return id;
 }
 
-std::vector<EdgeId> Digraph::out_edges(NodeId v) const {
-  std::vector<EdgeId> ids;
-  ids.reserve(out_degree(v));
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].src == v) ids.push_back(e);
-  }
-  return ids;
-}
-
-std::vector<EdgeId> Digraph::in_edges(NodeId v) const {
-  std::vector<EdgeId> ids;
-  ids.reserve(in_degree(v));
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].dst == v) ids.push_back(e);
-  }
-  return ids;
-}
-
 bool Digraph::has_edge(NodeId src, NodeId dst) const {
   if (out_degree(src) == 0) return false;
   return std::any_of(edges_.begin(), edges_.end(), [&](const Edge& e) {

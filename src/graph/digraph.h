@@ -57,10 +57,6 @@ class Digraph {
   const Edge& edge(EdgeId e) const { return edges_.at(e); }
   std::span<const Edge> edges() const noexcept { return edges_; }
 
-  /// Edge ids leaving / entering a node, in insertion order.  O(edges).
-  std::vector<EdgeId> out_edges(NodeId v) const;
-  std::vector<EdgeId> in_edges(NodeId v) const;
-
   /// Multigraph degrees (parallel edges counted individually).  O(1).
   std::size_t out_degree(NodeId v) const { return out_degree_.at(v); }
   std::size_t in_degree(NodeId v) const { return in_degree_.at(v); }

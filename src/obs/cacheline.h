@@ -1,7 +1,7 @@
-// Cache-line geometry for the observability shards and the runtime's hot
-// counters.  Two counters that share a line ping-pong it between cores on
-// every write (false sharing); everything in dm::obs that is written from
-// multiple threads is therefore spaced kCacheLineSize apart.
+// Cache-line geometry for the observability shards.  Two counters that
+// share a line ping-pong it between cores on every write (false sharing);
+// everything in dm::obs that is written from multiple threads is therefore
+// spaced kCacheLineSize apart.
 #pragma once
 
 #include <cstddef>

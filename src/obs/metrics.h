@@ -13,10 +13,10 @@
 //   * Registration (name -> metric lookup) takes a mutex and is meant for
 //     cold paths: resolve metric references once, keep them, then hit the
 //     wait-free handles from the hot loop (see obs/pipeline.h).
-//   * External counters that already exist as atomics elsewhere (e.g.
-//     runtime::Stats) join the registry as *callback sources*: snapshot()
-//     polls them, multiple registrations under one name sum — so one
-//     dm::obs::snapshot() covers the whole process.
+//   * Counters owned elsewhere (e.g. each ShardedOnlineEngine's runtime
+//     Counters, kept per engine) join the registry as *callback sources*:
+//     snapshot() polls them, multiple registrations under one name sum — so
+//     one dm::obs::snapshot() covers the whole process.
 //
 // The process-global registry is obs::registry(); tests and benches can
 // construct private MetricsRegistry instances for isolation.

@@ -8,7 +8,8 @@
 //   dm.detect.*   on-the-wire engine events and the headline
 //                 dm.detect.clue_to_verdict_ns latency
 //   dm.runtime.*  sharded-engine throughput/shed counters (callback-sourced
-//                 from runtime::Stats) and dispatcher/queue/worker timing
+//                 from each engine's own Counters) and dispatcher/queue/worker
+//                 timing
 //   dm.train.*    Stage-1 training: per-tree build / per-WCG extract /
 //                 per-CV-fold latency + throughput counters (handles live
 //                 in ml::TrainerMetrics, see ml/parallel_trainer.h)

@@ -107,7 +107,7 @@ class MpmcRingQueue {
   std::size_t capacity() const { return ring_.size(); }
 
   /// Deepest the queue has ever been — the observability hook for tuning
-  /// capacity vs. burst size (runtime::Stats reports the max over shards).
+  /// capacity vs. burst size (StatsSnapshot reports the max over shards).
   std::size_t highwater() const {
     std::scoped_lock lock(mutex_);
     return highwater_;

@@ -41,18 +41,18 @@ ShardedOnlineEngine::ShardedOnlineEngine(
   // alongside the latency histograms.  Multiple engines sum per name.
   auto& reg = options_.online.metrics != nullptr ? *options_.online.metrics
                                                  : dm::obs::registry();
-  const auto expose = [&](const char* name, const PaddedStatCounter& c) {
-    obs_handles_.push_back(reg.register_callback(
-        name, [&c] { return c.load(std::memory_order_relaxed); }));
+  const auto expose = [&](const char* name, const dm::obs::Counter& c) {
+    obs_handles_.push_back(
+        reg.register_callback(name, [&c] { return c.value(); }));
   };
-  expose("dm.runtime.transactions_in", stats_.transactions_in);
-  expose("dm.runtime.transactions_out", stats_.transactions_out);
-  expose("dm.runtime.batches_dispatched", stats_.batches_dispatched);
-  expose("dm.runtime.transactions_shed", stats_.transactions_shed);
-  expose("dm.runtime.batches_shed", stats_.batches_shed);
-  expose("dm.runtime.idle_flushes", stats_.idle_flushes);
-  expose("dm.runtime.dropped_after_finish", stats_.dropped_after_finish);
-  expose("dm.runtime.detector_failures", stats_.detector_failures);
+  expose("dm.runtime.transactions_in", transactions_in_);
+  expose("dm.runtime.transactions_out", transactions_out_);
+  expose("dm.runtime.batches_dispatched", batches_dispatched_);
+  expose("dm.runtime.transactions_shed", transactions_shed_);
+  expose("dm.runtime.batches_shed", batches_shed_);
+  expose("dm.runtime.idle_flushes", idle_flushes_);
+  expose("dm.runtime.dropped_after_finish", dropped_after_finish_);
+  expose("dm.runtime.detector_failures", detector_failures_);
   obs_handles_.push_back(reg.register_callback("dm.runtime.queue_highwater", [this] {
     std::size_t hw = 0;
     for (const auto& shard : shards_) hw = std::max(hw, shard->queue.highwater());
@@ -97,14 +97,14 @@ ShardedOnlineEngine::ShardedOnlineEngine(
             s->detector.observe(std::move(txn));
           } catch (const std::exception& e) {
             ++s->detector_failures;
-            stats_.detector_failures.fetch_add(1, std::memory_order_relaxed);
+            detector_failures_.add();
             static dm::util::EveryN gate(128);
             dm::util::log_every_n(gate, dm::util::LogLevel::kWarn,
                                   "sharded: detector failure quarantined: ",
                                   e.what());
           } catch (...) {
             ++s->detector_failures;
-            stats_.detector_failures.fetch_add(1, std::memory_order_relaxed);
+            detector_failures_.add();
             static dm::util::EveryN gate(128);
             dm::util::log_every_n(gate, dm::util::LogLevel::kWarn,
                                   "sharded: detector failure quarantined");
@@ -115,8 +115,7 @@ ShardedOnlineEngine::ShardedOnlineEngine(
         // Quarantined transactions still count as processed (transactions_out):
         // the conservation law in == out + shed holds with failures as a
         // separate, overlapping tally.
-        stats_.transactions_out.fetch_add(batch->txns.size(),
-                                          std::memory_order_relaxed);
+        transactions_out_.add(batch->txns.size());
       }
     });
   }
@@ -147,8 +146,8 @@ void ShardedOnlineEngine::dispatch(Shard& shard, Batch&& batch) {
   if (dm::obs::enabled()) batch.enqueue_ns = dm::obs::steady_now_ns();
   const std::uint64_t txns = batch.txns.size();
   const auto shed = [&](std::uint64_t t) {
-    stats_.transactions_shed.fetch_add(t, std::memory_order_relaxed);
-    stats_.batches_shed.fetch_add(1, std::memory_order_relaxed);
+    transactions_shed_.add(t);
+    batches_shed_.add();
     static dm::util::EveryN gate(64);
     dm::util::log_every_n(gate, dm::util::LogLevel::kWarn,
                           "sharded: overload shed ", t, " transaction(s)");
@@ -158,14 +157,14 @@ void ShardedOnlineEngine::dispatch(Shard& shard, Batch&& batch) {
       // Lossless backpressure; push() only fails once the queue is closed,
       // which cannot race finish() (both run on the dispatcher thread).
       if (shard.queue.push(std::move(batch))) {
-        stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+        batches_dispatched_.add();
       } else {
         shed(txns);
       }
       return;
     case OverloadPolicy::kShedNewest:
       if (shard.queue.try_push(std::move(batch))) {
-        stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+        batches_dispatched_.add();
       } else {
         shed(txns);  // buffered traffic wins; the incoming batch is dropped
       }
@@ -186,7 +185,7 @@ void ShardedOnlineEngine::dispatch(Shard& shard, Batch&& batch) {
         // Full but nothing poppable: the worker grabbed the victim first.
         // Its slot frees imminently; retry the offer.
       }
-      stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+      batches_dispatched_.add();
       return;
   }
 }
@@ -195,7 +194,7 @@ void ShardedOnlineEngine::observe(dm::http::HttpTransaction txn) {
   if (finished_) {
     // A post-finish observe is a caller bug (the workers are gone; the
     // transaction can never be scored) — never silently lose it.
-    stats_.dropped_after_finish.fetch_add(1, std::memory_order_relaxed);
+    dropped_after_finish_.add();
     assert(!"ShardedOnlineEngine::observe() called after finish()");
     return;
   }
@@ -209,7 +208,7 @@ void ShardedOnlineEngine::observe(dm::http::HttpTransaction txn) {
     }
   }
   shard.pending.txns.push_back(std::move(txn));
-  stats_.transactions_in.fetch_add(1, std::memory_order_relaxed);
+  transactions_in_.add();
   if (shard.pending.txns.size() >= options_.batch_size) {
     Batch batch;
     batch.txns.reserve(options_.batch_size);
@@ -234,7 +233,7 @@ void ShardedOnlineEngine::maybe_flush_idle(std::uint64_t now_micros) {
       Batch batch;
       std::swap(batch.txns, shard->pending.txns);
       shard->pending_first_ts = 0;
-      stats_.idle_flushes.fetch_add(1, std::memory_order_relaxed);
+      idle_flushes_.add();
       dispatch(*shard, std::move(batch));
     } else {
       next = std::min(next, deadline);
@@ -300,19 +299,14 @@ dm::core::OnlineStats ShardedOnlineEngine::aggregated_stats() const {
 
 StatsSnapshot ShardedOnlineEngine::runtime_stats() const {
   StatsSnapshot snap;
-  snap.transactions_in = stats_.transactions_in.load(std::memory_order_relaxed);
-  snap.transactions_out =
-      stats_.transactions_out.load(std::memory_order_relaxed);
-  snap.batches_dispatched =
-      stats_.batches_dispatched.load(std::memory_order_relaxed);
-  snap.transactions_shed =
-      stats_.transactions_shed.load(std::memory_order_relaxed);
-  snap.batches_shed = stats_.batches_shed.load(std::memory_order_relaxed);
-  snap.idle_flushes = stats_.idle_flushes.load(std::memory_order_relaxed);
-  snap.dropped_after_finish =
-      stats_.dropped_after_finish.load(std::memory_order_relaxed);
-  snap.detector_failures =
-      stats_.detector_failures.load(std::memory_order_relaxed);
+  snap.transactions_in = transactions_in_.value();
+  snap.transactions_out = transactions_out_.value();
+  snap.batches_dispatched = batches_dispatched_.value();
+  snap.transactions_shed = transactions_shed_.value();
+  snap.batches_shed = batches_shed_.value();
+  snap.idle_flushes = idle_flushes_.value();
+  snap.dropped_after_finish = dropped_after_finish_.value();
+  snap.detector_failures = detector_failures_.value();
   for (const auto& shard : shards_) {
     snap.queue_highwater = std::max(snap.queue_highwater, shard->queue.highwater());
   }

@@ -24,15 +24,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/online.h"
+#include "obs/metrics.h"
 #include "obs/pipeline.h"
 #include "runtime/mpmc_queue.h"
-#include "runtime/stats.h"
 
 namespace dm::runtime {
 
@@ -48,6 +49,35 @@ enum class OverloadPolicy {
   /// shed until the worker catches up.  Right when in-flight sessions must
   /// finish scoring.
   kShedNewest,
+};
+
+/// Plain-value view of the runtime counters at one instant.
+struct StatsSnapshot {
+  std::uint64_t transactions_in = 0;   // dispatched into shard queues
+  std::uint64_t transactions_out = 0;  // processed by shard workers
+  std::uint64_t batches_dispatched = 0;
+  /// Deepest any shard queue has been, in batches — how close the engine
+  /// came to exerting backpressure on the ingest stage.
+  std::size_t queue_highwater = 0;
+  /// Transactions dropped by an overload policy (ShedOldest / ShedNewest)
+  /// instead of blocking the dispatcher.  Conservation law after finish():
+  /// transactions_in == transactions_out + transactions_shed.
+  std::uint64_t transactions_shed = 0;
+  std::uint64_t batches_shed = 0;
+  /// Partial batches pushed by the flush-on-idle rule (stream time advanced
+  /// past a pending batch's first transaction by flush_idle_micros) rather
+  /// than by filling up — the latency fence on lightly-loaded shards.
+  std::uint64_t idle_flushes = 0;
+  /// observe() calls after finish(): the transaction is dropped and counted,
+  /// never silently lost (and asserts in debug builds — it is a caller bug).
+  std::uint64_t dropped_after_finish = 0;
+  /// Transactions whose detector observe() threw; the worker quarantines the
+  /// failure and keeps consuming — a poisoned transaction costs itself, not
+  /// the shard.
+  std::uint64_t detector_failures = 0;
+  std::vector<std::uint64_t> per_shard_transactions;
+  std::vector<std::uint64_t> per_shard_alerts;
+  std::vector<std::uint64_t> per_shard_detector_failures;
 };
 
 struct ShardedOptions {
@@ -135,9 +165,9 @@ class ShardedOnlineEngine {
   /// finish().
   dm::core::OnlineStats aggregated_stats() const;
 
-  /// Runtime counters.  Callable any time; the per-shard vectors are only
-  /// populated after finish() (the shard detectors belong to the worker
-  /// threads until then).
+  /// Runtime counters of this engine.  Callable any time; the per-shard
+  /// vectors are only populated after finish() (the shard detectors belong
+  /// to the worker threads until then).
   StatsSnapshot runtime_stats() const;
 
  private:
@@ -176,15 +206,30 @@ class ShardedOnlineEngine {
   ShardedOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   dm::obs::TraceSink* trace_ = nullptr;  // options_.online.trace or global
-  Stats stats_;
+  /// Runtime counters, owned by the engine (not the registry) so each
+  /// engine's runtime_stats() counts only its own traffic.  The dispatcher
+  /// writes transactions_in_, batches_*, *_shed_, idle_flushes_ and
+  /// dropped_after_finish_; workers write transactions_out_ and
+  /// detector_failures_.  obs::Counter gives each writing thread its own
+  /// cache-line-isolated shard (round-robin over eight), so the two sides
+  /// do not false-share.
+  dm::obs::Counter transactions_in_;
+  dm::obs::Counter transactions_out_;
+  dm::obs::Counter batches_dispatched_;
+  dm::obs::Counter transactions_shed_;
+  dm::obs::Counter batches_shed_;
+  dm::obs::Counter idle_flushes_;
+  dm::obs::Counter dropped_after_finish_;
+  dm::obs::Counter detector_failures_;
   /// Earliest flush-on-idle deadline over all pending batches (UINT64_MAX
   /// when nothing is pending) — may be stale-early after a full-batch
   /// dispatch, never stale-late, so the gate cannot miss a deadline.
   std::uint64_t next_idle_flush_ts_ = UINT64_MAX;
   bool finished_ = false;
   dm::obs::PipelineMetrics obs_;  // handles into online.metrics or global
-  /// Callback registrations exposing stats_ through obs snapshots; declared
-  /// after stats_/shards_ so they unregister first on destruction.
+  /// Callback registrations exposing the counters through obs snapshots;
+  /// declared after them and shards_ so they unregister first on
+  /// destruction.
   std::vector<dm::obs::CallbackHandle> obs_handles_;
 };
 

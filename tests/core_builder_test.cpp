@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/graph_lookup.h"
+
 namespace dm::core {
 namespace {
 
@@ -115,8 +117,8 @@ TEST(WcgBuilderTest, LocationRedirectCreatesRedirectEdge) {
   const auto wcg = builder.build();
   EXPECT_EQ(wcg.annotations().total_redirects, 1u);
   EXPECT_EQ(wcg.annotations().longest_redirect_chain, 1u);
-  const auto h1 = wcg.find_host("hop1.example");
-  const auto h2 = wcg.find_host("hop2.example");
+  const auto h1 = find_host(wcg, "hop1.example");
+  const auto h2 = find_host(wcg, "hop2.example");
   EXPECT_TRUE(wcg.graph().has_edge(h1, h2));
 }
 
@@ -202,8 +204,8 @@ TEST(WcgBuilderTest, MaliciousNodeTyping) {
   builder.add(Txn{.host = "innocent.example", .uri = "/img.png",
                   .content_type = "image/png", .ts = 2}.build());
   const auto wcg = builder.build();
-  EXPECT_EQ(wcg.node(wcg.find_host("exploit.example")).type, NodeType::kMalicious);
-  EXPECT_EQ(wcg.node(wcg.find_host("innocent.example")).type, NodeType::kRemote);
+  EXPECT_EQ(wcg.node(find_host(wcg, "exploit.example")).type, NodeType::kMalicious);
+  EXPECT_EQ(wcg.node(find_host(wcg, "innocent.example")).type, NodeType::kRemote);
 }
 
 TEST(WcgBuilderTest, HeaderTallies) {
@@ -268,7 +270,7 @@ TEST(WcgBuilderTest, ObfuscatedRedirectMinedIntoEdge) {
                   .build());
   const auto wcg = builder.build();
   EXPECT_GE(wcg.annotations().total_redirects, 1u);
-  EXPECT_NE(wcg.find_host("evil.top"), dm::graph::kInvalidNode);
+  EXPECT_NE(find_host(wcg, "evil.top"), dm::graph::kInvalidNode);
 }
 
 TEST(WcgBuilderTest, MinerCanBeDisabled) {
@@ -283,7 +285,7 @@ TEST(WcgBuilderTest, MinerCanBeDisabled) {
                   .ts = 1}
                   .build());
   const auto wcg = builder.build();
-  EXPECT_EQ(wcg.find_host("evil.top"), dm::graph::kInvalidNode);
+  EXPECT_EQ(find_host(wcg, "evil.top"), dm::graph::kInvalidNode);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "core/online.h"
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
+#include "support/graph_lookup.h"
 #include "synth/dataset.h"
 
 namespace dm::core {
@@ -44,7 +45,7 @@ BuilderOptions no_weed() {
 
 Stage stage_of_edge_to(const Wcg& wcg, const std::string& host,
                        EdgeKind kind) {
-  const auto id = wcg.find_host(host);
+  const auto id = find_host(wcg, host);
   for (std::size_t e = 0; e < wcg.edge_count(); ++e) {
     const auto& structural = wcg.graph().edge(static_cast<dm::graph::EdgeId>(e));
     const auto& attrs = wcg.edge(static_cast<dm::graph::EdgeId>(e));
@@ -124,7 +125,7 @@ TEST(StageHeuristicsTest, CryptoLockerExtensionCountsAsExploit) {
                        "text/plain", "encrypted!", 1));
   const auto wcg = builder.build();
   EXPECT_TRUE(wcg.annotations().has_download_stage);
-  EXPECT_EQ(wcg.node(wcg.find_host("drop.example")).type, NodeType::kMalicious);
+  EXPECT_EQ(wcg.node(find_host(wcg, "drop.example")).type, NodeType::kMalicious);
 }
 
 // ---- potential-infection WCG scoping (§V-B back-in-time construction) ----

@@ -2,14 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "support/graph_lookup.h"
+
 namespace dm::core {
 namespace {
 
 TEST(WcgTest, AddHostDeduplicates) {
   Wcg wcg;
-  const auto a = wcg.add_host("a.example");
-  const auto b = wcg.add_host("b.example");
-  const auto a2 = wcg.add_host("a.example");
+  const auto a = add_host(wcg, "a.example");
+  const auto b = add_host(wcg, "b.example");
+  const auto a2 = add_host(wcg, "a.example");
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, b);
   EXPECT_EQ(wcg.node_count(), 2u);
@@ -17,15 +19,15 @@ TEST(WcgTest, AddHostDeduplicates) {
 
 TEST(WcgTest, FindHost) {
   Wcg wcg;
-  const auto a = wcg.add_host("a.example");
-  EXPECT_EQ(wcg.find_host("a.example"), a);
-  EXPECT_EQ(wcg.find_host("missing"), dm::graph::kInvalidNode);
+  const auto a = add_host(wcg, "a.example");
+  EXPECT_EQ(find_host(wcg, "a.example"), a);
+  EXPECT_EQ(find_host(wcg, "missing"), dm::graph::kInvalidNode);
 }
 
 TEST(WcgTest, EdgeAttributesStored) {
   Wcg wcg;
-  const auto a = wcg.add_host("a");
-  const auto b = wcg.add_host("b");
+  const auto a = add_host(wcg, "a");
+  const auto b = add_host(wcg, "b");
   WcgEdge edge;
   edge.kind = EdgeKind::kResponse;
   edge.stage = Stage::kDownload;
@@ -41,7 +43,7 @@ TEST(WcgTest, EdgeAttributesStored) {
 
 TEST(WcgTest, NodeAttributesMutable) {
   Wcg wcg;
-  const auto a = wcg.add_host("a");
+  const auto a = add_host(wcg, "a");
   wcg.node(a).type = NodeType::kMalicious;
   EXPECT_TRUE(wcg.add_uri(a, "/x"));
   EXPECT_FALSE(wcg.add_uri(a, "/x"));  // dedup via set
@@ -55,10 +57,10 @@ TEST(WcgTest, NodeAttributesMutable) {
 TEST(WcgTest, TopologyVersionTracksStructureOnly) {
   Wcg wcg;
   EXPECT_EQ(wcg.topology_version(), 0u);
-  const auto a = wcg.add_host("a");
-  const auto b = wcg.add_host("b");
+  const auto a = add_host(wcg, "a");
+  const auto b = add_host(wcg, "b");
   EXPECT_EQ(wcg.topology_version(), 2u);
-  wcg.add_host("a");  // existing host: no structural change
+  add_host(wcg, "a");  // existing host: no structural change
   EXPECT_EQ(wcg.topology_version(), 2u);
   wcg.add_edge(a, b, WcgEdge{});
   EXPECT_EQ(wcg.topology_version(), 3u);
@@ -75,9 +77,9 @@ TEST(WcgTest, TopologyVersionTracksStructureOnly) {
 TEST(WcgTest, VictimAndOriginTracking) {
   Wcg wcg;
   EXPECT_EQ(wcg.victim(), dm::graph::kInvalidNode);
-  const auto v = wcg.add_host("10.0.0.2");
+  const auto v = add_host(wcg, "10.0.0.2");
   wcg.set_victim(v);
-  const auto o = wcg.add_host("bing.com");
+  const auto o = add_host(wcg, "bing.com");
   wcg.set_origin(o);
   EXPECT_EQ(wcg.victim(), v);
   EXPECT_EQ(wcg.origin(), o);

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "support/graph_lookup.h"
+
 namespace dm::graph {
 namespace {
 
@@ -35,10 +37,10 @@ TEST(DigraphTest, AddEdgeAndIncidence) {
   EXPECT_EQ(g.edge_count(), 2u);
   EXPECT_EQ(g.edge(e0).src, 0u);
   EXPECT_EQ(g.edge(e0).dst, 1u);
-  ASSERT_EQ(g.out_edges(0).size(), 1u);
-  EXPECT_EQ(g.out_edges(0)[0], e0);
-  ASSERT_EQ(g.in_edges(2).size(), 1u);
-  EXPECT_EQ(g.in_edges(2)[0], e1);
+  ASSERT_EQ(out_edges(g, 0).size(), 1u);
+  EXPECT_EQ(out_edges(g, 0)[0], e0);
+  ASSERT_EQ(in_edges(g, 2).size(), 1u);
+  EXPECT_EQ(in_edges(g, 2)[0], e1);
 }
 
 TEST(DigraphTest, AddEdgeRejectsBadEndpoints) {

@@ -14,7 +14,7 @@ namespace {
 dm::core::Wcg make_wcg(std::size_t nodes) {
   dm::core::Wcg wcg;
   for (std::size_t i = 0; i < nodes; ++i) {
-    wcg.add_host("h" + std::to_string(i) + ".example");
+    wcg.add_node("h" + std::to_string(i) + ".example");
   }
   return wcg;
 }

@@ -43,8 +43,8 @@ struct State {
   std::map<std::string, std::uint64_t> last_response_ts;
 };
 
-/// Wcg::add_host with a string-keyed index (the production Wcg no longer
-/// keeps one).
+/// The node of `host`, added when absent, through a string-keyed index (the
+/// production fold interns hosts in WcgBuilder instead).
 dm::graph::NodeId add_host(State& s, const std::string& host) {
   if (const auto it = s.host_index.find(host); it != s.host_index.end()) {
     return it->second;
